@@ -5,7 +5,6 @@ crossbar model."""
 from .metric import DistanceMatrix, DistanceSpec, MetricKind, build_dm, load_custom_dm
 from .solver import (
     BudgetExceededError,
-    CellConfig,
     CurrentRange,
     DEFAULT_CURRENT_RANGE,
     FeasibleRegion,
@@ -27,22 +26,19 @@ from .encoder import (
     derive_encoding,
     export_encoding,
     import_encoding,
-    realize_voltages,
     verify_encoding,
 )
-from .device import FeFETState, VariationParams, conduct, sample_variation
+from .device import VariationParams, conduct, sample_variation
 from .crossbar import Crossbar, MonteCarloResult, QueryResult, monte_carlo
-from .compiler import CompileResult, compile_dm, compile_spec
+from .compiler import CompileResult, compile_dm
 from .datasets import Dataset, load_csv_dataset, load_idx, load_mnist, synthetic_digits
 from .apps import (
     HDCModel,
     Quantizer,
     hdc_class_crossbar,
     hdc_evaluate,
-    hdc_infer,
     hdc_train,
     knn_classify,
-    quantize,
 )
 
 __version__ = "0.1.0"

@@ -64,11 +64,6 @@ class Quantizer:
         return symbols[0] if squeeze else symbols
 
 
-def quantize(values: np.ndarray, bits: int, train: np.ndarray) -> np.ndarray:
-    """One-shot helper: fit bins on train, then quantize values."""
-    return Quantizer.fit(train, bits).apply(values)
-
-
 # -- software twins ----------------------------------------------------------
 
 
@@ -88,9 +83,9 @@ def software_nearest(dm: DistanceMatrix, stored_q: np.ndarray, query_q: np.ndarr
 def software_knn_order(
     dm: DistanceMatrix, stored_q: np.ndarray, query_q: np.ndarray, kq: int
 ) -> tuple[int, ...]:
-    dists = software_distances(dm, stored_q, query_q)
-    order = sorted(range(len(dists)), key=lambda r: (dists[r], r))
-    return tuple(order[:kq])
+    """The kq nearest rows in ascending distance; ties go to the lowest index."""
+    order = np.argsort(software_distances(dm, stored_q, query_q), kind="stable")
+    return tuple(int(r) for r in order[:kq])
 
 
 def majority_label(neighbor_labels: Sequence[int]) -> int:
@@ -105,28 +100,44 @@ def majority_label(neighbor_labels: Sequence[int]) -> int:
     raise AssertionError("unreachable: neighbor list was empty")
 
 
-def tiled_search(crossbars: Sequence[Crossbar], query: Sequence[int]) -> tuple[int, np.ndarray]:
-    """Search several arrays holding row shards; merge winners by current.
-
-    Returns the global row index (offsets accumulate in order) plus the
-    concatenated row currents. At zero variation this equals one big array.
-    """
-    if not crossbars:
-        raise ValueError("need at least one crossbar")
-    currents = np.concatenate([cb.row_currents(query) for cb in crossbars])
-    return int(np.argmin(currents)), currents
-
-
-# -- k-nearest-neighbor -------------------------------------------------------
+# -- reports ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class KnnReport:
+class HdcReport:
+    """Accuracy of the array and of its software twin, with per-query predictions."""
+
     accuracy_hw: float
     accuracy_sw: float
     agreement: float
     predictions_hw: tuple[int, ...]
     predictions_sw: tuple[int, ...]
+
+    @classmethod
+    def from_predictions(
+        cls, preds_hw: Sequence[int], preds_sw: Sequence[int], labels: np.ndarray
+    ):
+        hw, sw = np.asarray(preds_hw), np.asarray(preds_sw)
+        labels = np.asarray(labels, dtype=np.int64)
+        return cls(
+            accuracy_hw=float((hw == labels).mean()),
+            accuracy_sw=float((sw == labels).mean()),
+            agreement=float((hw == sw).mean()),
+            predictions_hw=tuple(int(p) for p in preds_hw),
+            predictions_sw=tuple(int(p) for p in preds_sw),
+        )
+
+    def to_dict(self) -> dict:
+        return {
+            "accuracy_hw": self.accuracy_hw,
+            "accuracy_sw": self.accuracy_sw,
+            "agreement": self.agreement,
+        }
+
+
+@dataclass(frozen=True)
+class KnnReport(HdcReport):
+    """The same comparison; the KNN summary also reports the accuracy shortfall."""
 
     @property
     def degradation_pp(self) -> float:
@@ -134,12 +145,10 @@ class KnnReport:
         return (self.accuracy_sw - self.accuracy_hw) * 100.0
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy_hw": self.accuracy_hw,
-            "accuracy_sw": self.accuracy_sw,
-            "agreement": self.agreement,
-            "degradation_pp": self.degradation_pp,
-        }
+        return {**super().to_dict(), "degradation_pp": self.degradation_pp}
+
+
+# -- k-nearest-neighbor -------------------------------------------------------
 
 
 def knn_classify(
@@ -164,7 +173,6 @@ def knn_classify(
     stored_q = quantizer.apply(train_x)
     test_q = quantizer.apply(test_x)
     train_y = np.asarray(train_y, dtype=np.int64)
-    test_y = np.asarray(test_y, dtype=np.int64)
 
     cb = Crossbar(encoding, stored_q, ladder, variation=variation, isat=isat)
     preds_hw = []
@@ -174,15 +182,7 @@ def knn_classify(
         preds_hw.append(majority_label([int(train_y[r]) for r in hw_order]))
         sw_order = software_knn_order(dm, stored_q, query, kq)
         preds_sw.append(majority_label([int(train_y[r]) for r in sw_order]))
-    preds_hw_arr = np.asarray(preds_hw)
-    preds_sw_arr = np.asarray(preds_sw)
-    return KnnReport(
-        accuracy_hw=float((preds_hw_arr == test_y).mean()),
-        accuracy_sw=float((preds_sw_arr == test_y).mean()),
-        agreement=float((preds_hw_arr == preds_sw_arr).mean()),
-        predictions_hw=tuple(int(p) for p in preds_hw),
-        predictions_sw=tuple(int(p) for p in preds_sw),
-    )
+    return KnnReport.from_predictions(preds_hw, preds_sw, test_y)
 
 
 # -- hyperdimensional classification -------------------------------------------
@@ -280,29 +280,6 @@ def hdc_class_crossbar(
     )
 
 
-def hdc_infer(model: HDCModel, x: np.ndarray, cb: Crossbar) -> int:
-    """Encode the sample and let the array pick the nearest class row."""
-    return cb.search(model.encode(x)).winner
-
-
-def hdc_infer_software(model: HDCModel, x: np.ndarray, dm: DistanceMatrix) -> int:
-    return software_nearest(dm, model.quantized_class_vectors, model.encode(x))
-
-
-@dataclass(frozen=True)
-class HdcReport:
-    accuracy_hw: float
-    accuracy_sw: float
-    agreement: float
-
-    def to_dict(self) -> dict:
-        return {
-            "accuracy_hw": self.accuracy_hw,
-            "accuracy_sw": self.accuracy_sw,
-            "agreement": self.agreement,
-        }
-
-
 def hdc_evaluate(
     model: HDCModel,
     test_x: np.ndarray,
@@ -310,16 +287,9 @@ def hdc_evaluate(
     cb: Crossbar,
     dm: DistanceMatrix,
 ) -> HdcReport:
-    test_y = np.asarray(test_y, dtype=np.int64)
+    """Classify each test sample on the class array and with the software twin."""
     queries = model.encode(test_x)
-    table = np.asarray(dm.entries, dtype=np.int64)
     stored_q = model.quantized_class_vectors
-    preds_hw = np.array([cb.search(q).winner for q in queries])
-    preds_sw = np.array(
-        [int(np.argmin(table[q[None, :], stored_q].sum(axis=1))) for q in queries]
-    )
-    return HdcReport(
-        accuracy_hw=float((preds_hw == test_y).mean()),
-        accuracy_sw=float((preds_sw == test_y).mean()),
-        agreement=float((preds_hw == preds_sw).mean()),
-    )
+    preds_hw = [cb.search(q).winner for q in queries]
+    preds_sw = [software_nearest(dm, stored_q, q) for q in queries]
+    return HdcReport.from_predictions(preds_hw, preds_sw, test_y)

@@ -387,26 +387,19 @@ def cmd_bench(args) -> int:
         "test_size": len(ds.test_x),
         "min_k": compiled.k,
     }
-    predictions = None
     if args.pipeline == "knn":
         report = apps.knn_classify(
             ds.train_x, ds.train_y, ds.test_x, ds.test_y,
             dm=dm, encoding=compiled.encoding, bits=args.bits, kq=args.kq,
             ladder=ladder, variation=variation,
         )
-        summary.update(report.to_dict())
-        predictions = zip(report.predictions_hw, report.predictions_sw, ds.test_y)
     else:
         model = apps.hdc_train(ds, args.dimension, args.bits, args.epochs, args.seed)
         cb = apps.hdc_class_crossbar(model, compiled.encoding, ladder, variation)
         report = apps.hdc_evaluate(model, ds.test_x, ds.test_y, cb, dm)
-        summary.update(report.to_dict())
-        predictions = zip(
-            (apps.hdc_infer(model, x, cb) for x in ds.test_x),
-            (apps.hdc_infer_software(model, x, dm) for x in ds.test_x),
-            ds.test_y,
-        )
+    summary.update(report.to_dict())
     if args.predictions:
+        predictions = zip(report.predictions_hw, report.predictions_sw, ds.test_y)
         lines = ["query,predicted_hw,predicted_sw,label"]
         lines += [f"{i},{hw},{sw},{label}" for i, (hw, sw, label) in enumerate(predictions)]
         Path(args.predictions).write_text("\n".join(lines) + "\n")

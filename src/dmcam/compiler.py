@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .encoder import VoltageEncoding, derive_encoding, verify_encoding
-from .metric import DistanceMatrix, DistanceSpec, MetricKind, build_dm, load_custom_dm
+from .metric import DistanceMatrix
 from .solver import (
     DEFAULT_NODE_BUDGET,
     CurrentRange,
@@ -60,19 +60,3 @@ def compile_dm(
         )
     return CompileResult(dm, cr, probes, last.k, last.assignment, encoding)
 
-
-def resolve_dm(spec: DistanceSpec) -> DistanceMatrix:
-    """Build a built-in matrix or load the referenced custom table."""
-    if spec.kind is MetricKind.CUSTOM:
-        assert spec.custom_source is not None
-        return load_custom_dm(spec.custom_source)
-    return build_dm(spec)
-
-
-def compile_spec(
-    spec: DistanceSpec,
-    cr: Optional[CurrentRange] = None,
-    k_max: int = 8,
-    budget: int = DEFAULT_NODE_BUDGET,
-) -> CompileResult:
-    return compile_dm(resolve_dm(spec), cr, k_max, budget)

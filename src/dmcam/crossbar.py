@@ -4,24 +4,22 @@ Rows store symbol vectors as programmed threshold voltages; a search drives
 per-column gate voltages and drain multiples taken from the query symbols'
 encoding. Row currents are the sum of all branch currents in the row, and
 the sensing stage picks the row with the smallest current: the nearest
-stored vector under the compiled distance function. Repeated sensing with
-masking of prior winners yields k-nearest-neighbor ordering.
+stored vector under the compiled distance function. Ordering the rows by
+current yields k-nearest-neighbor order.
 
 Source-line clamping is modeled as ideal, so drain voltages depend on the
-query alone. An optional additive Gaussian term on the sensed row currents
-is available as a sensitivity hook (off by default).
+query alone.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .device import DEFAULT_ISAT, FeFETState, VariationParams
-from .encoder import DEFAULT_LADDER, VoltageEncoding, VoltageLadder, encoding_to_dict, import_encoding
+from .device import DEFAULT_ISAT, VariationParams, conduct, sample_variation
+from .encoder import DEFAULT_LADDER, VoltageEncoding, VoltageLadder
 
 
 @dataclass(frozen=True)
@@ -30,11 +28,6 @@ class QueryResult:
 
     row_currents: tuple[float, ...]
     winner: int
-    masked: frozenset[int]
-
-    def __post_init__(self) -> None:
-        if self.winner in self.masked:
-            raise ValueError("winner must not be masked")
 
 
 class Crossbar:
@@ -47,13 +40,10 @@ class Crossbar:
         ladder: VoltageLadder = DEFAULT_LADDER,
         variation: Optional[VariationParams] = None,
         isat: float = DEFAULT_ISAT,
-        lta_noise_sigma: float = 0.0,
     ):
         self.encoding = encoding
         self.ladder = ladder
-        self.variation = variation
         self.isat = float(isat)
-        self.lta_noise_sigma = float(lta_noise_sigma)
 
         stored_arr = np.asarray(stored, dtype=np.int64)
         if stored_arr.ndim != 2 or stored_arr.shape[0] < 1 or stored_arr.shape[1] < 1:
@@ -73,13 +63,15 @@ class Crossbar:
             [[ladder.vds_volts(v) for v in entry] for entry in encoding.vds_multiples]
         )
 
-        rows, dims = stored_arr.shape
         self._vth = self._vth_by_symbol[stored_arr]  # (rows, dims, k)
-        self._res = np.full((rows, dims, encoding.k), ladder.resistance)
-        self._rng = np.random.default_rng(variation.seed) if variation else None
+        self._res = ladder.resistance  # a scalar until resistance variation is drawn
         if variation is not None:
-            for row in range(rows):
-                self._perturb_row(row)
+            # One draw per row, in row order: a seed keeps reproducing its stream.
+            rng = np.random.default_rng(variation.seed)
+            drawn = [sample_variation(vth, ladder.resistance, variation, rng) for vth in self._vth]
+            self._vth = np.stack([vth for vth, _ in drawn])
+            if variation.sigma_r_rel > 0:
+                self._res = np.stack([res for _, res in drawn])
 
     # -- geometry ----------------------------------------------------------
 
@@ -96,159 +88,41 @@ class Crossbar:
         return self.encoding.k
 
     @property
-    def stored(self) -> np.ndarray:
-        return self._stored.copy()
-
-    @property
     def unit_current(self) -> float:
         return self.ladder.unit_current
 
-    # -- programming -------------------------------------------------------
+    # -- variation ---------------------------------------------------------
 
-    def _nominal_row_vth(self, row: int) -> np.ndarray:
-        return self._vth_by_symbol[self._stored[row]]
-
-    def _perturb_row(self, row: int) -> None:
-        shape = (self.dims, self.k)
-        assert self._rng is not None and self.variation is not None
-        if self.variation.sigma_vth > 0:
-            self._vth[row] += self._rng.normal(0.0, self.variation.sigma_vth, shape)
-        if self.variation.sigma_r_rel > 0:
-            factor = 1.0 + self._rng.normal(0.0, self.variation.sigma_r_rel, shape)
-            self._res[row] = self.ladder.resistance * np.clip(factor, 0.01, None)
-
-    def program(self, row: int, vector: Sequence[int]) -> None:
-        """(Re)program one row; the last write wins.
-
-        With variation enabled the row's device perturbations are resampled
-        from the crossbar's stream, so results stay deterministic for a
-        given seed and call sequence.
-        """
-        if not 0 <= row < self.rows:
-            raise ValueError(f"row {row} out of range")
-        vec = np.asarray(vector, dtype=np.int64)
-        if vec.shape != (self.dims,):
-            raise ValueError(f"vector must have {self.dims} symbols")
-        if vec.min() < 0 or vec.max() >= self.encoding.n:
-            raise ValueError("stored symbols must lie in [0, n)")
-        self._stored[row] = vec
-        self._vth[row] = self._nominal_row_vth(row)
-        self._res[row] = self.ladder.resistance
-        if self.variation is not None:
-            self._perturb_row(row)
-
-    def resample_variation(
-        self, rng: np.random.Generator, params: Optional[VariationParams] = None
-    ) -> None:
+    def resample_variation(self, rng: np.random.Generator, params: VariationParams) -> None:
         """Redraw every device perturbation from the given stream."""
-        if params is None:
-            params = self.variation
-        if params is None:
-            raise ValueError("no variation parameters to sample from")
-        shape = self._vth.shape
-        self._vth = self._vth_by_symbol[self._stored]
-        self._res = np.full(shape, self.ladder.resistance)
-        if params.sigma_vth > 0:
-            self._vth = self._vth + rng.normal(0.0, params.sigma_vth, shape)
-        if params.sigma_r_rel > 0:
-            factor = 1.0 + rng.normal(0.0, params.sigma_r_rel, shape)
-            self._res = self.ladder.resistance * np.clip(factor, 0.01, None)
-
-    def device_state(self, row: int, dim: int, branch: int) -> FeFETState:
-        """Scalar view of one device, for cross-checks against the device model."""
-        return FeFETState(
-            vth=float(self._vth[row, dim, branch]),
-            resistance=float(self._res[row, dim, branch]),
-            isat=self.isat,
+        self._vth = self._res = None  # free the old draw before sampling the new one
+        self._vth, self._res = sample_variation(
+            self._vth_by_symbol[self._stored], self.ladder.resistance, params, rng
         )
 
     # -- search ------------------------------------------------------------
 
-    def _query_tables(self, query: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    def row_currents(self, query: Sequence[int]) -> np.ndarray:
+        """Aggregate per-row currents for one query, in amperes."""
         q = np.asarray(query, dtype=np.int64)
         if q.shape != (self.dims,):
             raise ValueError(f"query must have {self.dims} symbols")
         if q.min() < 0 or q.max() >= self.encoding.m:
             raise ValueError("query symbols must lie in [0, m)")
-        return self._vgs_by_symbol[q], self._vds_by_symbol[q]  # (dims, k) each
+        vgs, vds = self._vgs_by_symbol[q], self._vds_by_symbol[q]  # (dims, k) each
+        return conduct(vgs, vds, self._vth, self._res, self.isat).sum(axis=(1, 2))
 
-    def row_currents(self, query: Sequence[int]) -> np.ndarray:
-        """Aggregate per-row currents for one query, in amperes."""
-        vgs, vds = self._query_tables(query)
-        on = vgs[None, :, :] > self._vth
-        branch_currents = np.where(on, np.minimum(self.isat, vds[None, :, :] / self._res), 0.0)
-        currents = branch_currents.sum(axis=(1, 2))
-        if self.lta_noise_sigma > 0:
-            if self._rng is None:
-                self._rng = np.random.default_rng(0)
-            currents = currents + self._rng.normal(0.0, self.lta_noise_sigma, self.rows)
-        return currents
-
-    def search(self, query: Sequence[int], masked: Iterable[int] = ()) -> QueryResult:
-        """Winner = unmasked row with minimum current; ties go to the lowest index."""
-        masked_set = frozenset(int(r) for r in masked)
-        if any(not 0 <= r < self.rows for r in masked_set):
-            raise ValueError("masked rows out of range")
-        if len(masked_set) >= self.rows:
-            raise ValueError("at least one row must stay unmasked")
+    def search(self, query: Sequence[int]) -> QueryResult:
+        """Winner = row with minimum current; ties go to the lowest index."""
         currents = self.row_currents(query)
-        sensed = currents.copy()
-        if masked_set:
-            sensed[list(masked_set)] = np.inf
-        winner = int(np.argmin(sensed))
-        return QueryResult(tuple(float(c) for c in currents), winner, masked_set)
+        return QueryResult(tuple(float(c) for c in currents), int(np.argmin(currents)))
 
     def knn(self, query: Sequence[int], kq: int) -> tuple[int, ...]:
-        """kq rounds of search, masking prior winners: ascending-current order."""
+        """The kq rows of lowest current in ascending order; ties go to the lowest index."""
         if not 1 <= kq <= self.rows:
             raise ValueError(f"kq must be in [1, {self.rows}]")
-        winners: list[int] = []
-        for _ in range(kq):
-            winners.append(self.search(query, winners).winner)
-        return tuple(winners)
-
-    # -- state I/O -----------------------------------------------------------
-
-    def to_state_dict(self) -> dict:
-        return {
-            "encoding": encoding_to_dict(self.encoding),
-            "ladder": self.ladder.to_dict(),
-            "stored": self._stored.tolist(),
-            "variation": None
-            if self.variation is None
-            else {
-                "sigma_vth": self.variation.sigma_vth,
-                "sigma_r_rel": self.variation.sigma_r_rel,
-                "seed": self.variation.seed,
-            },
-            "isat": self.isat,
-            "lta_noise_sigma": self.lta_noise_sigma,
-        }
-
-    def to_state_json(self) -> str:
-        return json.dumps(self.to_state_dict(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_state_dict(cls, data: dict) -> "Crossbar":
-        variation = data.get("variation")
-        return cls(
-            encoding=import_encoding(data["encoding"]),
-            stored=data["stored"],
-            ladder=VoltageLadder.from_dict(data["ladder"]),
-            variation=None
-            if variation is None
-            else VariationParams(
-                sigma_vth=float(variation["sigma_vth"]),
-                sigma_r_rel=float(variation["sigma_r_rel"]),
-                seed=int(variation["seed"]),
-            ),
-            isat=float(data.get("isat", DEFAULT_ISAT)),
-            lta_noise_sigma=float(data.get("lta_noise_sigma", 0.0)),
-        )
-
-    @classmethod
-    def from_state_json(cls, text: str) -> "Crossbar":
-        return cls.from_state_dict(json.loads(text))
+        currents = np.asarray(self.search(query).row_currents)
+        return tuple(int(r) for r in np.argsort(currents, kind="stable")[:kq])
 
 
 @dataclass(frozen=True)
@@ -263,10 +137,6 @@ class MonteCarloResult:
     @property
     def runs(self) -> int:
         return len(self.winners)
-
-    def run_accuracy(self, run: int) -> float:
-        row = self.winners[run]
-        return sum(w == e for w, e in zip(row, self.expected)) / len(row)
 
     def to_csv(self) -> str:
         lines = ["run,query,winner,expected,correct"]

@@ -5,6 +5,10 @@ resistor linearizes the on-current to vds/R (capped by the saturation
 current); below threshold the branch is treated as fully off. Multi-level
 behavior comes entirely from the stored threshold voltage, the applied gate
 voltage and the drain multiple.
+
+Both the conduction law and the variation sampler take scalars or numpy
+arrays and broadcast, so the crossbar evaluates and perturbs whole arrays of
+branches through them.
 """
 
 from __future__ import annotations
@@ -15,21 +19,6 @@ import numpy as np
 
 DEFAULT_ISAT = 10e-6  # far above any unit-current multiple in use
 MIN_RESISTANCE_FACTOR = 0.01
-
-
-@dataclass(frozen=True)
-class FeFETState:
-    """Electrical state of one programmed branch."""
-
-    vth: float
-    resistance: float
-    isat: float = DEFAULT_ISAT
-
-    def __post_init__(self) -> None:
-        if self.resistance <= 0:
-            raise ValueError("resistance must be positive")
-        if self.isat <= 0:
-            raise ValueError("isat must be positive")
 
 
 @dataclass(frozen=True)
@@ -45,32 +34,31 @@ class VariationParams:
             raise ValueError("sigmas must be nonnegative")
 
 
-def conduct(vgs: float, vds: float, state: FeFETState) -> float:
+def conduct(vgs, vds, vth, resistance, isat: float = DEFAULT_ISAT) -> np.ndarray:
     """Branch current: ohmic vds/R capped at saturation when on, else 0.
 
     The switch at vth is hard; subthreshold leakage is not modeled.
     """
-    if vds < 0:
+    if np.any(np.asarray(vds) < 0):
         raise ValueError("vds must be nonnegative")
-    if vgs <= state.vth:
-        return 0.0
-    return min(state.isat, vds / state.resistance)
+    return np.where(vgs > vth, np.minimum(isat, vds / resistance), 0.0)
 
 
 def sample_variation(
-    nominal: FeFETState, params: VariationParams, rng: np.random.Generator
-) -> FeFETState:
-    """Draw one perturbed device state.
+    vth, resistance, params: VariationParams, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw perturbed thresholds and resistances for the devices of vth.
 
     Threshold shifts by N(0, sigma_vth); resistance scales by 1 + N(0,
-    sigma_r_rel), clamped to 1% of nominal so it stays physical. Saturation
-    current is unchanged. Zero sigmas consume no randomness and return the
-    nominal state.
+    sigma_r_rel), clamped to 1% of nominal so it stays physical. Every
+    threshold is drawn before any resistance. A zero sigma consumes no
+    randomness and returns that input unchanged, so a nominal scalar
+    resistance stays a scalar.
     """
-    vth = nominal.vth
+    shape = np.shape(vth)
     if params.sigma_vth > 0:
-        vth = vth + rng.normal(0.0, params.sigma_vth)
-    factor = 1.0
+        vth = vth + rng.normal(0.0, params.sigma_vth, shape)
     if params.sigma_r_rel > 0:
-        factor = max(1.0 + rng.normal(0.0, params.sigma_r_rel), MIN_RESISTANCE_FACTOR)
-    return FeFETState(vth=vth, resistance=nominal.resistance * factor, isat=nominal.isat)
+        factor = 1.0 + rng.normal(0.0, params.sigma_r_rel, shape)
+        resistance = resistance * np.clip(factor, MIN_RESISTANCE_FACTOR, None)
+    return vth, resistance

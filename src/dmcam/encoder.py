@@ -1,4 +1,4 @@
-"""Voltage-rank encoding tables: derivation, verification, realization, I/O.
+"""Voltage-rank encoding tables: derivation, verification, voltage ladder, I/O.
 
 An encoding assigns each stored symbol a threshold rank per branch, and each
 search symbol a gate rank plus a positive drain multiple per branch. A branch
@@ -219,51 +219,8 @@ class VoltageLadder:
     def unit_current(self) -> float:
         return self.unit_vds / self.resistance
 
-    def to_dict(self) -> dict:
-        return {
-            "vgs_base": self.vgs_base,
-            "vth_base": self.vth_base,
-            "step": self.step,
-            "unit_vds": self.unit_vds,
-            "resistance": self.resistance,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "VoltageLadder":
-        return cls(**{key: float(data[key]) for key in
-                      ("vgs_base", "vth_base", "step", "unit_vds", "resistance")})
-
 
 DEFAULT_LADDER = VoltageLadder()
-
-
-@dataclass(frozen=True)
-class RealizedEncoding:
-    """Concrete device programming in volts."""
-
-    stored_vth_volts: tuple[tuple[float, ...], ...]
-    search_vgs_volts: tuple[tuple[float, ...], ...]
-    search_vds_volts: tuple[tuple[float, ...], ...]
-    unit_current: float
-
-
-def realize_voltages(
-    enc: VoltageEncoding, ladder: VoltageLadder = DEFAULT_LADDER
-) -> RealizedEncoding:
-    """Map ranks onto the ladder. The interleaving invariant guarantees the
-    sign of (gate volts - threshold volts) matches the rank rule."""
-    return RealizedEncoding(
-        stored_vth_volts=tuple(
-            tuple(ladder.vth_volts(r) for r in entry) for entry in enc.vth_ranks
-        ),
-        search_vgs_volts=tuple(
-            tuple(ladder.vgs_volts(r) for r in entry) for entry in enc.vgs_ranks
-        ),
-        search_vds_volts=tuple(
-            tuple(ladder.vds_volts(v) for v in entry) for entry in enc.vds_multiples
-        ),
-        unit_current=ladder.unit_current,
-    )
 
 
 def encoding_to_dict(enc: VoltageEncoding) -> dict:

@@ -79,18 +79,6 @@ class CurrentRange:
 DEFAULT_CURRENT_RANGE = CurrentRange((0, 1, 2))
 
 
-@dataclass(frozen=True)
-class CellConfig:
-    """Cell geometry: branch count plus the allowed current multiples."""
-
-    k: int
-    cr: CurrentRange = DEFAULT_CURRENT_RANGE
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-
-
 def decompose_dm(
     k: int, value: int, cr: CurrentRange, budget: int = DEFAULT_NODE_BUDGET
 ) -> tuple[tuple[int, ...], ...]:

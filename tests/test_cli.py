@@ -236,6 +236,27 @@ def test_bench_hdc_runs_and_is_reproducible(tmp_path):
     assert json.loads(payloads[0])["agreement"] == 1.0
 
 
+def test_bench_hdc_predictions_reproduce_summary(tmp_path):
+    out = tmp_path / "hdc.json"
+    preds = tmp_path / "preds.csv"
+    # enough variation that hardware and software disagree on some queries
+    code = run(["bench", "--pipeline", "hdc", "--dataset", "synthetic",
+                "--train-size", "60", "--test-size", "15",
+                "--metric", "hamming", "--bits", "2", "--dimension", "128",
+                "--sigma-vth", "0.15", "--sigma-r", "0.08", "--seed", "1",
+                "--out", str(out), "--predictions", str(preds)])
+    assert code == EXIT_OK
+    summary = json.loads(out.read_text())
+    lines = preds.read_text().splitlines()
+    assert lines[0] == "query,predicted_hw,predicted_sw,label"
+    rows = [[int(v) for v in line.split(",")] for line in lines[1:]]
+    assert [row[0] for row in rows] == list(range(15))
+    assert summary["accuracy_hw"] == sum(hw == label for _, hw, _, label in rows) / 15
+    assert summary["accuracy_sw"] == sum(sw == label for _, _, sw, label in rows) / 15
+    assert summary["agreement"] == sum(hw == sw for _, hw, sw, _ in rows) / 15
+    assert summary["agreement"] < 1.0
+
+
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"metric": "manhattan", "bits": 1}))

@@ -1,66 +1,59 @@
 import numpy as np
 import pytest
 
-from dmcam.device import FeFETState, VariationParams, conduct, sample_variation
+from dmcam.device import VariationParams, conduct, sample_variation
 
 
-STATE = FeFETState(vth=0.5, resistance=1e6, isat=10e-6)
+VTH, RES, ISAT = 0.5, 1e6, 10e-6
 
 
 def test_conduct_ohmic_branch():
-    assert conduct(0.7, 0.1, STATE) == pytest.approx(100e-9)
+    assert conduct(0.7, 0.1, VTH, RES, ISAT) == pytest.approx(100e-9)
 
 
 def test_conduct_cutoff():
-    assert conduct(0.3, 0.1, STATE) == 0.0
+    assert conduct(0.3, 0.1, VTH, RES, ISAT) == 0.0
 
 
 def test_conduct_at_threshold_is_off():
-    assert conduct(0.5, 0.1, STATE) == 0.0
+    assert conduct(0.5, 0.1, VTH, RES, ISAT) == 0.0
 
 
 def test_double_drain_voltage_doubles_current_exactly():
-    assert conduct(0.7, 0.2, STATE) == 2 * conduct(0.7, 0.1, STATE)
+    assert conduct(0.7, 0.2, VTH, RES, ISAT) == 2 * conduct(0.7, 0.1, VTH, RES, ISAT)
 
 
 def test_saturation_caps_current():
-    state = FeFETState(vth=0.5, resistance=1e3, isat=10e-6)
     # vds/R would be 100 uA; the ceiling wins
-    assert conduct(0.7, 0.1, state) == 10e-6
+    assert conduct(0.7, 0.1, VTH, 1e3, ISAT) == 10e-6
 
 
 def test_conduct_rejects_negative_vds():
     with pytest.raises(ValueError):
-        conduct(0.7, -0.1, STATE)
+        conduct(0.7, -0.1, VTH, RES, ISAT)
+    with pytest.raises(ValueError):
+        conduct(0.7, np.array([0.1, -0.1]), VTH, RES, ISAT)
 
 
 def test_default_ladder_currents_are_exact_unit_multiples():
     from dmcam.encoder import DEFAULT_LADDER
 
-    state = FeFETState(vth=0.5, resistance=DEFAULT_LADDER.resistance)
     unit = DEFAULT_LADDER.unit_current
     for multiple in range(1, 10):
-        current = conduct(0.9, DEFAULT_LADDER.vds_volts(multiple), state)
+        current = conduct(0.9, DEFAULT_LADDER.vds_volts(multiple), VTH, DEFAULT_LADDER.resistance)
         assert current == multiple * unit  # exact float equality
 
 
 def test_conduct_monotone_in_vds():
-    currents = [conduct(0.9, vds, STATE) for vds in np.linspace(0.0, 20.0, 50)]
-    assert all(b >= a for a, b in zip(currents, currents[1:]))
+    currents = conduct(0.9, np.linspace(0.0, 20.0, 50), VTH, RES, ISAT)
+    assert np.all(np.diff(currents) >= 0)
 
 
 def test_conduct_piecewise_constant_in_vgs():
-    below = {conduct(v, 0.1, STATE) for v in np.linspace(0.0, 0.5, 20)}
-    above = {conduct(v, 0.1, STATE) for v in np.linspace(0.51, 2.0, 20)}
+    below = set(conduct(np.linspace(0.0, 0.5, 20), 0.1, VTH, RES, ISAT))
+    above = set(conduct(np.linspace(0.51, 2.0, 20), 0.1, VTH, RES, ISAT))
     assert below == {0.0}
     assert len(above) == 1
-
-
-def test_state_validation():
-    with pytest.raises(ValueError):
-        FeFETState(vth=0.5, resistance=0.0)
-    with pytest.raises(ValueError):
-        FeFETState(vth=0.5, resistance=1e6, isat=0.0)
 
 
 def test_variation_params_validation():
@@ -72,36 +65,40 @@ def test_variation_params_validation():
 
 def test_zero_sigma_returns_nominal():
     rng = np.random.default_rng(0)
-    assert sample_variation(STATE, VariationParams(0.0, 0.0), rng) == STATE
+    nominal = np.full((3, 2), VTH)
+    vth, res = sample_variation(nominal, RES, VariationParams(0.0, 0.0), rng)
+    assert vth is nominal and res == RES
+    # no randomness consumed
+    assert rng.normal() == np.random.default_rng(0).normal()
 
 
 def test_vth_sample_std():
     rng = np.random.default_rng(1)
     params = VariationParams(sigma_vth=0.054, sigma_r_rel=0.0)
-    vths = np.array([sample_variation(STATE, params, rng).vth for _ in range(100_000)])
+    vths, res = sample_variation(np.full(100_000, VTH), RES, params, rng)
     assert abs(vths.std() - 0.054) / 0.054 < 0.02
+    assert res == RES
 
 
 def test_resistance_sample_relative_std():
     rng = np.random.default_rng(2)
     params = VariationParams(sigma_vth=0.0, sigma_r_rel=0.08)
-    rs = np.array(
-        [sample_variation(STATE, params, rng).resistance for _ in range(100_000)]
-    )
-    rel = rs / STATE.resistance - 1.0
+    vths, rs = sample_variation(np.full(100_000, VTH), RES, params, rng)
+    rel = rs / RES - 1.0
     assert abs(rel.std() - 0.08) / 0.08 < 0.02
+    assert np.all(vths == VTH)
 
 
 def test_same_seed_identical_samples():
     params = VariationParams(sigma_vth=0.054, sigma_r_rel=0.08)
-    a = [sample_variation(STATE, params, np.random.default_rng(7)) for _ in range(1)]
-    b = [sample_variation(STATE, params, np.random.default_rng(7)) for _ in range(1)]
-    assert a == b
+    a = sample_variation(np.full(4, VTH), RES, params, np.random.default_rng(7))
+    b = sample_variation(np.full(4, VTH), RES, params, np.random.default_rng(7))
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 def test_resistance_clamped_positive():
     rng = np.random.default_rng(3)
     params = VariationParams(sigma_vth=0.0, sigma_r_rel=5.0)
-    for _ in range(2000):
-        state = sample_variation(STATE, params, rng)
-        assert state.resistance >= 0.01 * STATE.resistance
+    _, rs = sample_variation(np.full(2000, VTH), RES, params, rng)
+    assert np.all(rs >= 0.01 * RES)
+    assert np.any(rs == 0.01 * RES)

@@ -10,7 +10,6 @@ from dmcam.encoder import (
     encoding_table_csv,
     export_encoding,
     import_encoding,
-    realize_voltages,
     verify_encoding,
 )
 from dmcam.metric import DistanceMatrix
@@ -143,16 +142,15 @@ def test_verify_trivial_always_off():
 # -- voltage ladder ----------------------------------------------------------------
 
 
-def test_realize_documented_example(golden_encoding):
+def test_realize_documented_example():
     ladder = VoltageLadder(vgs_base=0.3, vth_base=0.5, step=0.4, unit_vds=0.1, resistance=1e6)
-    realized = realize_voltages(golden_encoding, ladder)
     assert ladder.vth_volts(0) == pytest.approx(0.5)
     assert ladder.vgs_volts(1) == pytest.approx(0.7)
     assert ladder.vds_volts(2) == pytest.approx(0.2)
     assert 2 * ladder.unit_current == pytest.approx(200e-9)
     # rank-0 gate sits below rank-0 threshold: off
     assert ladder.vgs_volts(0) < ladder.vth_volts(0)
-    assert realized.unit_current == pytest.approx(1e-7)
+    assert ladder.unit_current == pytest.approx(1e-7)
 
 
 @pytest.mark.parametrize(
@@ -162,11 +160,10 @@ def test_realize_documented_example(golden_encoding):
 @pytest.mark.parametrize("ladder", [DEFAULT_LADDER, VoltageLadder(0.45, 0.5, 0.2, 0.05, 2e6)])
 def test_realized_voltages_preserve_on_off(compiled_fixture, ladder, request):
     enc = request.getfixturevalue(compiled_fixture).encoding
-    realized = realize_voltages(enc, ladder)
     for s in range(enc.m):
         for t in range(enc.n):
             for i in range(enc.k):
-                volts_on = realized.search_vgs_volts[s][i] > realized.stored_vth_volts[t][i]
+                volts_on = ladder.vgs_volts(enc.vgs_ranks[s][i]) > ladder.vth_volts(enc.vth_ranks[t][i])
                 assert volts_on == enc.is_on(s, t, i)
 
 

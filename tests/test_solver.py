@@ -6,7 +6,6 @@ import pytest
 from dmcam.metric import DistanceMatrix
 from dmcam.solver import (
     BudgetExceededError,
-    CellConfig,
     CurrentRange,
     GlobalAssignment,
     RowAssignment,
@@ -49,11 +48,6 @@ def test_current_range_parse_and_covering():
     assert CurrentRange.parse("0,1,2").multiples == (0, 1, 2)
     assert CurrentRange.covering(3).multiples == (0, 1, 2, 3)
     assert CurrentRange.covering(0).multiples == (0, 1)
-
-
-def test_cell_config_validates_k():
-    with pytest.raises(ValueError):
-        CellConfig(0)
 
 
 # -- decomposition ------------------------------------------------------------
