@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .crossbar import Crossbar
+from .crossbar import Crossbar, entry_sums, query_blocks
 from .datasets import Dataset
 from .device import DEFAULT_ISAT, VariationParams
 from .encoder import DEFAULT_LADDER, VoltageEncoding, VoltageLadder
@@ -67,25 +67,34 @@ class Quantizer:
 # -- software twins ----------------------------------------------------------
 
 
+# Each twin takes one query vector or a (Q, dims) batch of them and returns
+# one answer or a tuple of answers (an array with a leading Q axis for the
+# distances).
+
+
 def software_distances(dm: DistanceMatrix, stored_q: np.ndarray, query_q: np.ndarray) -> np.ndarray:
     """Per-row integer distances: sum of per-dimension matrix entries."""
-    table = np.asarray(dm.entries, dtype=np.int64)
     stored_q = np.atleast_2d(np.asarray(stored_q, dtype=np.int64))
     query_q = np.asarray(query_q, dtype=np.int64)
-    return table[query_q[None, :], stored_q].sum(axis=1)
+    if stored_q.min() < 0 or stored_q.max() >= dm.n:
+        raise ValueError("stored symbols must lie in [0, n)")
+    if query_q.size and (query_q.min() < 0 or query_q.max() >= dm.m):
+        raise ValueError("query symbols must lie in [0, m)")
+    dists = entry_sums(dm.entries, stored_q, np.atleast_2d(query_q)).astype(np.int64)
+    return dists if query_q.ndim == 2 else dists[0]
 
 
-def software_nearest(dm: DistanceMatrix, stored_q: np.ndarray, query_q: np.ndarray) -> int:
+def software_nearest(dm: DistanceMatrix, stored_q: np.ndarray, query_q: np.ndarray):
     """Argmin row with lowest-index tie-break: the sensing stage's contract."""
-    return int(np.argmin(software_distances(dm, stored_q, query_q)))
+    nearest = np.argmin(software_distances(dm, stored_q, query_q), axis=-1)
+    return tuple(nearest.tolist()) if nearest.ndim else int(nearest)
 
 
-def software_knn_order(
-    dm: DistanceMatrix, stored_q: np.ndarray, query_q: np.ndarray, kq: int
-) -> tuple[int, ...]:
+def software_knn_order(dm: DistanceMatrix, stored_q: np.ndarray, query_q: np.ndarray, kq: int):
     """The kq nearest rows in ascending distance; ties go to the lowest index."""
-    order = np.argsort(software_distances(dm, stored_q, query_q), kind="stable")
-    return tuple(int(r) for r in order[:kq])
+    dists = software_distances(dm, stored_q, query_q)
+    order = np.argsort(dists, axis=-1, kind="stable")[..., :kq].tolist()
+    return tuple(map(tuple, order)) if dists.ndim == 2 else tuple(order)
 
 
 def majority_label(neighbor_labels: Sequence[int]) -> int:
@@ -177,11 +186,11 @@ def knn_classify(
     cb = Crossbar(encoding, stored_q, ladder, variation=variation, isat=isat)
     preds_hw = []
     preds_sw = []
-    for query in test_q:
-        hw_order = cb.knn(query, kq)
-        preds_hw.append(majority_label([int(train_y[r]) for r in hw_order]))
-        sw_order = software_knn_order(dm, stored_q, query, kq)
-        preds_sw.append(majority_label([int(train_y[r]) for r in sw_order]))
+    for block in query_blocks(test_q):
+        for hw_order in cb.knn(block, kq):
+            preds_hw.append(majority_label([int(train_y[r]) for r in hw_order]))
+        for sw_order in software_knn_order(dm, stored_q, block, kq):
+            preds_sw.append(majority_label([int(train_y[r]) for r in sw_order]))
     return KnnReport.from_predictions(preds_hw, preds_sw, test_y)
 
 
@@ -290,6 +299,9 @@ def hdc_evaluate(
     """Classify each test sample on the class array and with the software twin."""
     queries = model.encode(test_x)
     stored_q = model.quantized_class_vectors
-    preds_hw = [cb.search(q).winner for q in queries]
-    preds_sw = [software_nearest(dm, stored_q, q) for q in queries]
+    preds_hw = []
+    preds_sw = []
+    for block in query_blocks(queries):
+        preds_hw += [result.winner for result in cb.search(block)]
+        preds_sw += software_nearest(dm, stored_q, block)
     return HdcReport.from_predictions(preds_hw, preds_sw, test_y)

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import apps, datasets
 from .compiler import compile_dm
-from .crossbar import Crossbar, monte_carlo
+from .crossbar import Crossbar, monte_carlo, query_blocks
 from .device import VariationParams
 from .encoder import (
     DEFAULT_LADDER,
@@ -77,6 +77,14 @@ def _add_ladder_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--resistance", type=float, default=d.resistance)
 
 
+def _env_threads() -> int:
+    raw = os.environ.get("DMCAM_THREADS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise SystemExit2(f"DMCAM_THREADS must be an integer, got {raw!r}") from None
+
+
 def build_parser(defaults: dict | None = None) -> _Parser:
     parser = _Parser(prog="dmcam", description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="JSON file of flag defaults for the subcommand")
@@ -85,7 +93,7 @@ def build_parser(defaults: dict | None = None) -> _Parser:
     common.add_argument(
         "--threads",
         type=int,
-        default=int(os.environ.get("DMCAM_THREADS", "1")),
+        default=_env_threads(),
         help="worker cap for parallelizable stages",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -317,8 +325,8 @@ def cmd_simulate(args) -> int:
         "# config: " + json.dumps(_config_dict(args), sort_keys=True, default=str),
         "query,row,current_a,current_units,winner",
     ]
-    for qi, query in enumerate(queries):
-        result = cb.search(query)
+    results = (result for block in query_blocks(queries) for result in cb.search(block))
+    for qi, result in enumerate(results):
         for row, current in enumerate(result.row_currents):
             units = current / ladder.unit_current
             lines.append(
@@ -337,7 +345,7 @@ def cmd_mc(args) -> int:
         expected = [row[0] for row in _load_symbol_csv(args.expected)]
     else:
         ideal = Crossbar(encoding, stored, ladder)
-        expected = [ideal.search(q).winner for q in queries]
+        expected = [r.winner for block in query_blocks(queries) for r in ideal.search(block)]
     params = VariationParams(args.sigma_vth, args.sigma_r, args.seed)
     result = monte_carlo(
         encoding, stored, queries, expected, params, args.runs,
@@ -420,9 +428,8 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if args.config:
             defaults = json.loads(Path(args.config).read_text())
             if not isinstance(defaults, dict):

@@ -7,6 +7,11 @@ the sensing stage picks the row with the smallest current: the nearest
 stored vector under the compiled distance function. Ordering the rows by
 current yields k-nearest-neighbor order.
 
+At zero variation every cell current is an integer multiple of the unit
+current, so a nominal array keeps one table of unit multiples per
+(search, stored) symbol pair and senses a batch of queries exactly in unit
+space. A varied array evaluates the device model for every device.
+
 Source-line clamping is modeled as ideal, so drain voltages depend on the
 query alone.
 """
@@ -20,6 +25,35 @@ import numpy as np
 
 from .device import DEFAULT_ISAT, VariationParams, conduct, sample_variation
 from .encoder import DEFAULT_LADDER, VoltageEncoding, VoltageLadder
+
+
+QUERY_BLOCK = 64  # queries per batched call in the pipelines; bounds queries x rows buffers
+
+
+def query_blocks(queries) -> list[np.ndarray]:
+    """The queries as consecutive batches of at most QUERY_BLOCK."""
+    queries = np.asarray(queries, dtype=np.int64)
+    return [queries[i:i + QUERY_BLOCK] for i in range(0, len(queries), QUERY_BLOCK)]
+
+
+def entry_sums(table, stored: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """sums[q, r] = sum over d of table[queries[q, d], stored[r, d]], as float64.
+
+    One GEMM per stored symbol against that symbol's mask of the stored
+    array. An integer table gives integer sums, exact below 2**53, so equal
+    distances compare equal and ties go to the lowest index.
+    """
+    table = np.asarray(table, dtype=np.float64)
+    sums = np.zeros((len(queries), len(stored)))
+    for t in range(table.shape[1]):
+        mask = stored == t
+        if mask.any():
+            sums += table[queries, t] @ mask.T.astype(np.float64)
+    return sums
+
+
+def _nominal(variation: Optional[VariationParams]) -> bool:
+    return variation is None or (variation.sigma_vth == 0 and variation.sigma_r_rel == 0)
 
 
 @dataclass(frozen=True)
@@ -63,15 +97,21 @@ class Crossbar:
             [[ladder.vds_volts(v) for v in entry] for entry in encoding.vds_multiples]
         )
 
-        self._vth = self._vth_by_symbol[stored_arr]  # (rows, dims, k)
-        self._res = ladder.resistance  # a scalar until resistance variation is drawn
-        if variation is not None:
-            # One draw per row, in row order: a seed keeps reproducing its stream.
-            rng = np.random.default_rng(variation.seed)
-            drawn = [sample_variation(vth, ladder.resistance, variation, rng) for vth in self._vth]
-            self._vth = np.stack([vth for vth, _ in drawn])
-            if variation.sigma_r_rel > 0:
-                self._res = np.stack([res for _, res in drawn])
+        self._units = None  # (m, n) cell currents in unit multiples, while nominal
+        self._vth = self._res = None  # per-device draws, while varied
+        if _nominal(variation):
+            self._program_nominal()
+            return
+        self._res = ladder.resistance  # a scalar unless resistance variation is drawn
+        # One draw per row, in row order: a seed keeps reproducing its stream.
+        rng = np.random.default_rng(variation.seed)
+        drawn = [
+            sample_variation(vth, ladder.resistance, variation, rng)
+            for vth in self._vth_by_symbol[stored_arr]
+        ]
+        self._vth = np.stack([vth for vth, _ in drawn])  # (rows, dims, k)
+        if variation.sigma_r_rel > 0:
+            self._res = np.stack([res for _, res in drawn])
 
     # -- geometry ----------------------------------------------------------
 
@@ -93,36 +133,88 @@ class Crossbar:
 
     # -- variation ---------------------------------------------------------
 
+    def _program_nominal(self) -> None:
+        """Tabulate every symbol pair's nominal cell current in unit multiples.
+
+        The device model runs once per (search, stored) symbol pair instead
+        of once per device. A ladder whose nominal cell currents are not
+        integer multiples of the unit current (a branch capped by isat) is
+        rejected: sensing in unit space would misreport it.
+        """
+        unit = self.unit_current
+        cells = conduct(
+            self._vgs_by_symbol[:, None], self._vds_by_symbol[:, None],
+            self._vth_by_symbol[None], self.ladder.resistance, self.isat,
+        ).sum(axis=2)
+        units = np.rint(cells / unit)
+        if not np.allclose(cells, units * unit, rtol=1e-9, atol=0):
+            raise ValueError(
+                "ladder saturates: nominal cell currents are not integer multiples "
+                f"of the unit current {unit:.6g} A (a branch reaches isat={self.isat:.6g} A)"
+            )
+        self._units = units
+
     def resample_variation(self, rng: np.random.Generator, params: VariationParams) -> None:
-        """Redraw every device perturbation from the given stream."""
-        self._vth = self._res = None  # free the old draw before sampling the new one
+        """Redraw every device perturbation from the given stream.
+
+        Zero sigmas draw nothing and leave the array nominal.
+        """
+        self._units = self._vth = self._res = None  # free the old draw first
+        if _nominal(params):
+            self._program_nominal()
+            return
         self._vth, self._res = sample_variation(
             self._vth_by_symbol[self._stored], self.ladder.resistance, params, rng
         )
 
     # -- search ------------------------------------------------------------
 
-    def row_currents(self, query: Sequence[int]) -> np.ndarray:
-        """Aggregate per-row currents for one query, in amperes."""
+    def row_currents(self, query) -> np.ndarray:
+        """Per-row currents in amperes: (rows,) for one query, (Q, rows) for a (Q, dims) batch.
+
+        A nominal array sums its unit table exactly and scales once by the
+        unit current; a varied array evaluates every device per query.
+        """
         q = np.asarray(query, dtype=np.int64)
-        if q.shape != (self.dims,):
+        if q.ndim not in (1, 2) or q.shape[-1] != self.dims:
             raise ValueError(f"query must have {self.dims} symbols")
-        if q.min() < 0 or q.max() >= self.encoding.m:
+        if q.size and (q.min() < 0 or q.max() >= self.encoding.m):
             raise ValueError("query symbols must lie in [0, m)")
-        vgs, vds = self._vgs_by_symbol[q], self._vds_by_symbol[q]  # (dims, k) each
-        return conduct(vgs, vds, self._vth, self._res, self.isat).sum(axis=(1, 2))
+        batch = q.reshape(-1, self.dims)
+        if self._units is not None:
+            currents = entry_sums(self._units, self._stored, batch) * self.unit_current
+        else:
+            currents = np.empty((len(batch), self.rows))
+            for i, symbols in enumerate(batch):
+                vgs, vds = self._vgs_by_symbol[symbols], self._vds_by_symbol[symbols]
+                currents[i] = conduct(vgs, vds, self._vth, self._res, self.isat).sum(axis=(1, 2))
+        return currents if q.ndim == 2 else currents[0]
 
-    def search(self, query: Sequence[int]) -> QueryResult:
-        """Winner = row with minimum current; ties go to the lowest index."""
+    def search(self, query):
+        """Winner = row with minimum current; ties go to the lowest index.
+
+        One QueryResult for one query, a tuple of them for a batch.
+        """
         currents = self.row_currents(query)
-        return QueryResult(tuple(float(c) for c in currents), int(np.argmin(currents)))
+        results = tuple(
+            QueryResult(tuple(row.tolist()), int(np.argmin(row)))
+            for row in np.atleast_2d(currents)
+        )
+        return results if currents.ndim == 2 else results[0]
 
-    def knn(self, query: Sequence[int], kq: int) -> tuple[int, ...]:
-        """The kq rows of lowest current in ascending order; ties go to the lowest index."""
+    def knn(self, query, kq: int):
+        """The kq rows of lowest current in ascending order; ties go to the lowest index.
+
+        One order for one query, a tuple of orders for a batch.
+        """
         if not 1 <= kq <= self.rows:
             raise ValueError(f"kq must be in [1, {self.rows}]")
-        currents = np.asarray(self.search(query).row_currents)
-        return tuple(int(r) for r in np.argsort(currents, kind="stable")[:kq])
+        found = self.search(query)
+        batch = found if isinstance(found, tuple) else (found,)
+        orders = tuple(
+            tuple(np.argsort(r.row_currents, kind="stable")[:kq].tolist()) for r in batch
+        )
+        return orders if isinstance(found, tuple) else orders[0]
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,19 @@ def test_software_knn_order_tie_break(hamming_dm):
     assert software_knn_order(hamming_dm, stored, query, 3) == (0, 2, 1)
 
 
+def test_software_twins_take_a_batch(hamming_dm):
+    stored = np.array([[0, 0], [3, 3], [1, 2]])
+    queries = np.array([[0, 0], [3, 3], [1, 1]])
+    dists = software_distances(hamming_dm, stored, queries)
+    assert dists.tolist() == [[0, 4, 2], [4, 0, 2], [2, 2, 2]]
+    assert software_nearest(hamming_dm, stored, queries) == (0, 1, 0)
+    assert software_knn_order(hamming_dm, stored, queries, 2) == ((0, 2), (1, 2), (0, 1))
+    with pytest.raises(ValueError):
+        software_distances(hamming_dm, np.array([[0, 4]]), queries)
+    with pytest.raises(ValueError):  # a negative symbol must not wrap around
+        software_distances(hamming_dm, stored, np.array([-1, 0]))
+
+
 def test_majority_label_rules():
     assert majority_label([1, 1, 2]) == 1
     # tie: the label whose neighbor appears first wins

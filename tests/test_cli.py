@@ -262,3 +262,20 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     cfg.write_text(json.dumps({"metric": "manhattan", "bits": 1}))
     assert run(["--config", str(cfg), "dm"]) == EXIT_OK
     assert capsys.readouterr().out == "0,1\n1,0\n"
+
+
+def test_malformed_thread_env_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("DMCAM_THREADS", "two")
+    assert run(["dm", "--metric", "hamming", "--bits", "1"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("dmcam: error: DMCAM_THREADS")
+
+
+def test_simulate_rejects_saturating_ladder(tmp_path, compiled_encoding_file, capsys):
+    stored = tmp_path / "stored.csv"
+    queries = tmp_path / "queries.csv"
+    _write_symbol_csv(stored, [[0, 0], [3, 3]])
+    _write_symbol_csv(queries, [[0, 0]])
+    assert run(["simulate", "--encoding", str(compiled_encoding_file),
+                "--stored", str(stored), "--queries", str(queries),
+                "--unit-vds", "10", "--resistance", "1e5"]) == EXIT_ERROR
+    assert "saturates" in capsys.readouterr().err

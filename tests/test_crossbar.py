@@ -3,6 +3,7 @@ import pytest
 
 from dmcam.crossbar import Crossbar, monte_carlo
 from dmcam.device import VariationParams, conduct, sample_variation
+from dmcam.encoder import VoltageLadder
 
 
 PAPER_SIGMAS = VariationParams(sigma_vth=0.054, sigma_r_rel=0.08, seed=3)
@@ -218,3 +219,22 @@ def test_monte_carlo_winners_golden(golden_encoding):
         (3, 1, 3), (0, 0, 3), (0, 1, 3), (3, 1, 3),
     )
     assert result.accuracy == 0.75
+
+
+def test_saturating_ladder_rejected_at_zero_variation(hamming_compiled):
+    # Unit current 1e-4 A is above isat, so every on-branch is capped and the
+    # cell currents stop being unit multiples.
+    ladder = VoltageLadder(unit_vds=10, resistance=1e5)
+    with pytest.raises(ValueError, match="saturates"):
+        Crossbar(hamming_compiled.encoding, [[0, 1]], ladder)
+
+
+def test_batch_returns_one_answer_per_query(hamming_compiled, hamming_dm):
+    rng = np.random.default_rng(14)
+    stored = rng.integers(0, 4, (6, 9))
+    queries = rng.integers(0, 4, (5, 9))
+    for variation in (None, PAPER_SIGMAS):
+        cb = Crossbar(hamming_compiled.encoding, stored, variation=variation)
+        assert cb.search(queries) == tuple(cb.search(q) for q in queries)
+        assert cb.knn(queries, 4) == tuple(cb.knn(q, 4) for q in queries)
+    assert cb.row_currents(queries[:0]).shape == (0, 6)

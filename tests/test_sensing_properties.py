@@ -1,0 +1,82 @@
+"""Property tests of batched, exact sensing over ladders, metrics and shapes."""
+
+import functools
+
+import numpy as np
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from dmcam.apps import software_knn_order
+from dmcam.compiler import compile_dm
+from dmcam.crossbar import Crossbar
+from dmcam.device import DEFAULT_ISAT, VariationParams
+from dmcam.encoder import VoltageLadder
+from dmcam.metric import DistanceSpec, MetricKind, build_dm
+
+KINDS = ("hamming", "manhattan", "sq_euclidean")
+
+
+@functools.cache
+def _compiled(kind):
+    return compile_dm(build_dm(DistanceSpec(MetricKind(kind), 2)), k_max=6)
+
+
+def _ladder(encoding, unit_vds, resistance):
+    top = max(max(entry) for entry in encoding.vds_multiples)
+    assume(top * unit_vds / resistance <= DEFAULT_ISAT)  # no branch saturates
+    return VoltageLadder(unit_vds=unit_vds, resistance=resistance)
+
+
+def _symbols(seed, count, dims, levels):
+    return np.random.default_rng(seed).integers(0, levels, (count, dims))
+
+
+shapes = dict(
+    kind=st.sampled_from(KINDS),
+    rows=st.integers(1, 16),
+    dims=st.integers(1, 64),
+    count=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+ladders = dict(
+    unit_vds=st.floats(0.01, 1.0),
+    resistance=st.floats(1e5, 1e7),
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(**shapes, **ladders)
+# The 0.1 V / 1 Mohm ladder's unit current is not a binary fraction, so
+# summing currents as floats broke ties between equally distant rows.
+@example(kind="hamming", rows=16, dims=64, count=8, seed=20, unit_vds=0.1, resistance=1e6)
+def test_zero_variation_knn_equals_software_order(
+    kind, rows, dims, count, seed, unit_vds, resistance
+):
+    compiled = _compiled(kind)
+    ladder = _ladder(compiled.encoding, unit_vds, resistance)
+    stored = _symbols(seed, rows, dims, compiled.dm.n)
+    queries = _symbols(seed + 1, count, dims, compiled.dm.m)
+    cb = Crossbar(compiled.encoding, stored, ladder)
+    for kq in range(1, rows + 1):
+        assert cb.knn(queries, kq) == software_knn_order(compiled.dm, stored, queries, kq)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    **shapes,
+    **ladders,
+    sigma_vth=st.sampled_from([0.0, 0.054, 0.12]),
+    sigma_r=st.sampled_from([0.0, 0.08]),
+)
+def test_batched_row_currents_equal_per_query_rows(
+    kind, rows, dims, count, seed, unit_vds, resistance, sigma_vth, sigma_r
+):
+    compiled = _compiled(kind)
+    ladder = _ladder(compiled.encoding, unit_vds, resistance)
+    stored = _symbols(seed, rows, dims, compiled.dm.n)
+    queries = _symbols(seed + 1, count, dims, compiled.dm.m)
+    variation = VariationParams(sigma_vth, sigma_r, seed)
+    cb = Crossbar(compiled.encoding, stored, ladder, variation=variation)
+    batched = cb.row_currents(queries)
+    assert batched.shape == (count, rows)
+    assert np.array_equal(batched, np.stack([cb.row_currents(q) for q in queries]))
