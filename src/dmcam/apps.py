@@ -59,8 +59,9 @@ class Quantizer:
             x = x[None, :]
         if x.shape[1] != self.thresholds.shape[0]:
             raise ValueError("value vector does not match the fitted feature count")
-        symbols = (self.thresholds[None, :, :] < x[:, :, None]).sum(axis=2)
-        symbols = symbols.astype(np.int64)
+        symbols = np.zeros(x.shape, dtype=np.int64)
+        for threshold in self.thresholds.T:
+            symbols += x > threshold
         return symbols[0] if squeeze else symbols
 
 

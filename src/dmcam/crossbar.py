@@ -10,7 +10,10 @@ current yields k-nearest-neighbor order.
 At zero variation every cell current is an integer multiple of the unit
 current, so a nominal array keeps one table of unit multiples per
 (search, stored) symbol pair and senses a batch of queries exactly in unit
-space. A varied array evaluates the device model for every device.
+space. A varied array evaluates the device model for every device, in
+buffers it keeps across redraws, so one array can be redrawn and sensed
+run after run without allocating; it must not be searched from two
+threads at once.
 
 Source-line clamping is modeled as ideal, so drain voltages depend on the
 query alone.
@@ -18,6 +21,8 @@ query alone.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -99,19 +104,14 @@ class Crossbar:
 
         self._units = None  # (m, n) cell currents in unit multiples, while nominal
         self._vth = self._res = None  # per-device draws, while varied
+        # Made on the first varied draw, then kept, each (rows, dims, k): the
+        # nominal thresholds, the (vth, res) draw and the (current, on) sensing buffers.
+        self._vth0 = self._draw_buffers = self._sense_buffers = None
         if _nominal(variation):
             self._program_nominal()
             return
-        self._res = ladder.resistance  # a scalar unless resistance variation is drawn
         # One draw per row, in row order: a seed keeps reproducing its stream.
-        rng = np.random.default_rng(variation.seed)
-        drawn = [
-            sample_variation(vth, ladder.resistance, variation, rng)
-            for vth in self._vth_by_symbol[stored_arr]
-        ]
-        self._vth = np.stack([vth for vth, _ in drawn])  # (rows, dims, k)
-        if variation.sigma_r_rel > 0:
-            self._res = np.stack([res for _, res in drawn])
+        self._draw(variation, np.random.default_rng(variation.seed), range(self.rows))
 
     # -- geometry ----------------------------------------------------------
 
@@ -154,18 +154,32 @@ class Crossbar:
             )
         self._units = units
 
+    def _draw(self, params: VariationParams, rng: np.random.Generator, parts) -> None:
+        """Draw every device from rng into the kept buffers, one part of the array after another."""
+        if self._vth0 is None:
+            self._vth0 = self._vth_by_symbol[self._stored]
+            shape = self._vth0.shape
+            self._draw_buffers = np.empty(shape), np.empty(shape)
+            self._sense_buffers = np.empty(shape), np.empty(shape, dtype=bool)
+        vth, res = self._draw_buffers
+        for part in parts:
+            sample_variation(self._vth0[part], self.ladder.resistance, params, rng,
+                             out=(vth[part], res[part]))
+        self._units = None
+        # A zero sigma draws nothing: the nominal thresholds, or the scalar resistance.
+        self._vth = vth if params.sigma_vth > 0 else self._vth0
+        self._res = res if params.sigma_r_rel > 0 else self.ladder.resistance
+
     def resample_variation(self, rng: np.random.Generator, params: VariationParams) -> None:
-        """Redraw every device perturbation from the given stream.
+        """Redraw every device perturbation from the given stream, in place.
 
         Zero sigmas draw nothing and leave the array nominal.
         """
-        self._units = self._vth = self._res = None  # free the old draw first
-        if _nominal(params):
+        if not _nominal(params):
+            self._draw(params, rng, [...])
+        elif self._units is None:
+            self._vth = self._res = None
             self._program_nominal()
-            return
-        self._vth, self._res = sample_variation(
-            self._vth_by_symbol[self._stored], self.ladder.resistance, params, rng
-        )
 
     # -- search ------------------------------------------------------------
 
@@ -187,7 +201,9 @@ class Crossbar:
             currents = np.empty((len(batch), self.rows))
             for i, symbols in enumerate(batch):
                 vgs, vds = self._vgs_by_symbol[symbols], self._vds_by_symbol[symbols]
-                currents[i] = conduct(vgs, vds, self._vth, self._res, self.isat).sum(axis=(1, 2))
+                cells = conduct(vgs, vds, self._vth, self._res, self.isat,
+                                out=self._sense_buffers)
+                currents[i] = cells.sum(axis=(1, 2))
         return currents if q.ndim == 2 else currents[0]
 
     def search(self, query):
@@ -253,7 +269,10 @@ def monte_carlo(
     """Accuracy of the sensed winner under freshly sampled device variation.
 
     Every run redraws all device perturbations from its own substream of the
-    seed, so results are independent of run order and worker count.
+    seed, so results are independent of run order and worker count. The runs
+    are split into contiguous chunks, one per worker thread (at most
+    min(workers, runs, cpu count) of them); each chunk programs one array and
+    redraws it in place for every run.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -263,18 +282,23 @@ def monte_carlo(
         raise ValueError("one expected winner per query is required")
     children = np.random.SeedSequence(params.seed).spawn(runs)
 
-    def run_one(idx: int) -> tuple[int, ...]:
+    def run_chunk(chunk: range) -> list[tuple[int, ...]]:
         cb = Crossbar(encoding, stored, ladder, variation=None, isat=isat)
-        cb.resample_variation(np.random.default_rng(children[idx]), params)
-        return tuple(cb.search(q).winner for q in queries)
+        winners = []
+        for idx in chunk:
+            cb.resample_variation(np.random.default_rng(children[idx]), params)
+            winners.append(tuple(cb.search(q).winner for q in queries))
+        return winners
 
+    workers = max(1, min(workers, runs, os.cpu_count() or 1))
+    bounds = [runs * w // workers for w in range(workers + 1)]
+    chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            winners = tuple(pool.map(run_one, range(runs)))
+            chunk_winners = list(pool.map(run_chunk, chunks))
     else:
-        winners = tuple(run_one(idx) for idx in range(runs))
+        chunk_winners = [run_chunk(chunks[0])]
+    winners = tuple(w for chunk in chunk_winners for w in chunk)
 
     total = runs * len(queries)
     hits = sum(w == e for row in winners for w, e in zip(row, expected))

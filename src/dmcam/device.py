@@ -8,7 +8,8 @@ voltage and the drain multiple.
 
 Both the conduction law and the variation sampler take scalars or numpy
 arrays and broadcast, so the crossbar evaluates and perturbs whole arrays of
-branches through them.
+branches through them; given out= buffers, they compute in place and
+allocate no arrays of that size.
 """
 
 from __future__ import annotations
@@ -34,18 +35,35 @@ class VariationParams:
             raise ValueError("sigmas must be nonnegative")
 
 
-def conduct(vgs, vds, vth, resistance, isat: float = DEFAULT_ISAT) -> np.ndarray:
+def conduct(vgs, vds, vth, resistance, isat: float = DEFAULT_ISAT, out=None) -> np.ndarray:
     """Branch current: ohmic vds/R capped at saturation when on, else 0.
 
-    The switch at vth is hard; subthreshold leakage is not modeled.
+    The switch at vth is hard; subthreshold leakage is not modeled. out is
+    an optional (current, on) pair of float64 and bool arrays of the
+    broadcast shape; the current and the on-mask are computed in them, and
+    the current buffer is returned.
     """
     if np.any(np.asarray(vds) < 0):
         raise ValueError("vds must be nonnegative")
-    return np.where(vgs > vth, np.minimum(isat, vds / resistance), 0.0)
+    if out is None:
+        shape = np.broadcast_shapes(*map(np.shape, (vgs, vds, vth, resistance)))
+        out = np.empty(shape), np.empty(shape, dtype=bool)
+    current, on = out
+    np.greater(vgs, vth, out=on)
+    np.divide(vds, resistance, out=current)
+    np.minimum(current, isat, out=current)
+    return np.multiply(current, on, out=current)
+
+
+def _scaled_normal(rng: np.random.Generator, sigma: float, shape, buf) -> np.ndarray:
+    """sigma * N(0, 1) over shape, drawn into buf when one is given."""
+    z = rng.standard_normal(shape) if buf is None else rng.standard_normal(out=buf)
+    z *= sigma
+    return z
 
 
 def sample_variation(
-    vth, resistance, params: VariationParams, rng: np.random.Generator
+    vth, resistance, params: VariationParams, rng: np.random.Generator, out=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw perturbed thresholds and resistances for the devices of vth.
 
@@ -53,12 +71,17 @@ def sample_variation(
     sigma_r_rel), clamped to 1% of nominal so it stays physical. Every
     threshold is drawn before any resistance. A zero sigma consumes no
     randomness and returns that input unchanged, so a nominal scalar
-    resistance stays a scalar.
+    resistance stays a scalar. out is an optional (vth, resistance) pair of
+    float64 arrays of vth's shape that the draws are written into.
     """
     shape = np.shape(vth)
+    vth_buf, res_buf = (None, None) if out is None else out
     if params.sigma_vth > 0:
-        vth = vth + rng.normal(0.0, params.sigma_vth, shape)
+        shift = _scaled_normal(rng, params.sigma_vth, shape, vth_buf)
+        vth = np.add(shift, vth, out=shift)
     if params.sigma_r_rel > 0:
-        factor = 1.0 + rng.normal(0.0, params.sigma_r_rel, shape)
-        resistance = resistance * np.clip(factor, MIN_RESISTANCE_FACTOR, None)
+        factor = _scaled_normal(rng, params.sigma_r_rel, shape, res_buf)
+        factor += 1.0
+        np.maximum(factor, MIN_RESISTANCE_FACTOR, out=factor)
+        resistance = np.multiply(factor, resistance, out=factor)
     return vth, resistance

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dmcam.crossbar import Crossbar, monte_carlo
+from dmcam import crossbar
+from dmcam.crossbar import Crossbar, QueryResult, monte_carlo
 from dmcam.device import VariationParams, conduct, sample_variation
 from dmcam.encoder import VoltageLadder
 
@@ -150,6 +151,52 @@ def test_seeded_variation_row_currents_golden(golden_encoding):
     assert result.winner == 2
 
 
+def test_seeded_row_currents_golden_with_one_sigma_zero(golden_encoding):
+    # Recorded before the array kept its draws in buffers: a zero sigma keeps
+    # the nominal thresholds, or the scalar resistance, and draws nothing.
+    stored = [[0, 1, 2, 3], [3, 2, 1, 0], [1, 1, 2, 2]]
+    query = [0, 1, 3, 2]
+    vth_only = Crossbar(golden_encoding, stored, variation=VariationParams(0.2, 0.0, seed=3))
+    assert vth_only.search(query) == QueryResult(
+        (3.5762786865234375e-07, 7.152557373046875e-07, 2.384185791015625e-07), 2,
+    )
+    res_only = Crossbar(golden_encoding, stored, variation=VariationParams(0.0, 0.08, seed=3))
+    assert res_only.search(query) == QueryResult(
+        (2.648563276780292e-07, 7.393828550732147e-07, 2.425766253821446e-07), 2,
+    )
+
+
+def _resampled(encoding, stored, seed, params=PAPER_SIGMAS):
+    cb = Crossbar(encoding, stored)
+    cb.resample_variation(np.random.default_rng(seed), params)
+    return cb
+
+
+def test_resampling_reuses_no_stale_draw(hamming_compiled):
+    rng = np.random.default_rng(15)
+    stored = rng.integers(0, 4, (7, 12))
+    queries = rng.integers(0, 4, (5, 12))
+    enc = hamming_compiled.encoding
+    fresh_a = _resampled(enc, stored, 1).row_currents(queries)
+    fresh_b = _resampled(enc, stored, 2).row_currents(queries)
+    assert not np.array_equal(fresh_a, fresh_b)
+    cb = Crossbar(enc, stored, variation=PAPER_SIGMAS)
+    for seed, fresh in ((1, fresh_a), (2, fresh_b), (1, fresh_a)):
+        cb.resample_variation(np.random.default_rng(seed), PAPER_SIGMAS)
+        assert np.array_equal(cb.row_currents(queries), fresh)
+    # varied -> nominal -> each sigma alone -> both: each draw senses as a fresh array
+    nominal = Crossbar(enc, stored).row_currents(queries)
+    vth_only, res_only = VariationParams(0.12, 0.0), VariationParams(0.0, 0.08)
+    for seed, params, fresh in (
+        (0, VariationParams(0.0, 0.0), nominal),
+        (3, vth_only, _resampled(enc, stored, 3, vth_only).row_currents(queries)),
+        (4, res_only, _resampled(enc, stored, 4, res_only).row_currents(queries)),
+        (1, PAPER_SIGMAS, fresh_a),
+    ):
+        cb.resample_variation(np.random.default_rng(seed), params)
+        assert np.array_equal(cb.row_currents(queries), fresh)
+
+
 def test_variation_determinism(hamming_compiled):
     stored = [[0, 1, 2], [3, 2, 1]]
     a = Crossbar(hamming_compiled.encoding, stored, variation=PAPER_SIGMAS)
@@ -219,6 +266,41 @@ def test_monte_carlo_winners_golden(golden_encoding):
         (3, 1, 3), (0, 0, 3), (0, 1, 3), (3, 1, 3),
     )
     assert result.accuracy == 0.75
+
+
+def test_monte_carlo_chunking_golden(golden_encoding):
+    # Recorded before runs were split into per-worker chunks: uneven chunks
+    # and more workers than runs reproduce one worker's winners.
+    stored = [[1, 1, 1, 1, 0], [1, 1, 1, 1, 1], [3, 3, 3, 0, 0], [0, 1, 2, 3, 0]]
+    queries = [[0, 0, 0, 0, 0], [1, 1, 1, 1, 1], [0, 1, 2, 3, 3]]
+    params = VariationParams(0.12, 0.08, seed=42)
+    golden = (
+        (3, 1, 3), (0, 1, 3), (3, 1, 3), (0, 0, 3), (3, 1, 3), (0, 0, 3), (0, 1, 3),
+    )
+    for runs, workers in ((7, 1), (7, 3), (3, 1), (3, 5)):
+        result = monte_carlo(golden_encoding, stored, queries, [0, 1, 3], params,
+                             runs=runs, workers=workers)
+        assert result.winners == golden[:runs]
+
+
+def test_monte_carlo_threads_bounded_by_runs(hamming_compiled, monkeypatch):
+    started = []
+    real_pool = crossbar.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        started.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(crossbar, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(crossbar.os, "cpu_count", lambda: 64)
+    kwargs = dict(encoding=hamming_compiled.encoding, stored=[[0, 1], [3, 2]],
+                  queries=[[0, 1]], expected_winners=[0], params=PAPER_SIGMAS, runs=3)
+    result = monte_carlo(**kwargs, workers=64)
+    assert started == [3]
+    assert result.winners == monte_carlo(**kwargs).winners
+    monkeypatch.setattr(crossbar.os, "cpu_count", lambda: None)
+    monte_carlo(**kwargs, workers=64)
+    assert started == [3]  # an unknown cpu count runs one worker, in the calling thread
 
 
 def test_saturating_ladder_rejected_at_zero_variation(hamming_compiled):
