@@ -28,7 +28,16 @@ from .metric import DistanceMatrix
 
 @dataclass(frozen=True)
 class Quantizer:
-    """Per-feature quantile bins fitted on training data."""
+    """Per-feature quantile bins fitted on training data.
+
+    Thresholds are numpy's "linear" quantiles (method 7 of Hyndman & Fan,
+    "Sample quantiles in statistical packages", 1996) at i / levels, computed
+    from one sort per feature with numpy's own interpolation formula, so they
+    equal ``np.quantile(train, qs, axis=0).T`` bit for bit. The one exception
+    is the sign of a zero threshold in a feature that holds both -0.0 and
+    +0.0: which equal zero sits at an order-statistic position is up to the
+    sort here and to numpy's selection there, and the two compare equal.
+    """
 
     thresholds: np.ndarray  # (features, levels - 1)
     bits: int
@@ -42,10 +51,31 @@ class Quantizer:
         if bits < 1:
             raise ValueError("bits must be >= 1")
         train = np.asarray(train, dtype=np.float64)
+        if train.ndim != 2:
+            raise ValueError("training data must be a (samples, features) matrix")
+        if train.size == 0:
+            raise ValueError("training data is empty")
+        columns = np.array(train.T, order="C")  # (features, samples), sorted in place
+        columns.sort(axis=1)
+        # A sort puts NaN last and infinities at the ends.
+        if not np.isfinite(columns[:, [0, -1]]).all():
+            raise ValueError("training data must be finite")
+        # numpy's "linear" method: virtual index (n - 1) q between two order
+        # statistics, clamped to the last one, and its two-sided lerp.
+        n = columns.shape[1]
         levels = 1 << bits
-        qs = np.arange(1, levels) / levels
-        thresholds = np.quantile(train, qs, axis=0).T  # (features, levels-1)
-        return cls(np.ascontiguousarray(thresholds), bits)
+        virtual = (n - 1) * (np.arange(1, levels) / levels)
+        below = np.floor(virtual)
+        above = below + 1
+        last = virtual >= n - 1
+        below[last] = above[last] = -1
+        gamma = virtual - below
+        lo = columns[:, below.astype(np.intp)]
+        hi = columns[:, above.astype(np.intp)]
+        diff = hi - lo
+        thresholds = lo + diff * gamma  # (features, levels - 1)
+        np.subtract(hi, diff * (1 - gamma), out=thresholds, where=gamma >= 0.5)
+        return cls(thresholds, bits)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Symbol = number of thresholds strictly below the value.
@@ -243,32 +273,42 @@ def hdc_train(
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
     rng = np.random.default_rng(seed)
-    features = dataset.feature_count
-    projection = (rng.integers(0, 2, (features, dimension)) * 2 - 1).astype(np.float64)
-
+    # Draw {0, 1} in the stream's int64 and map it to {-1, +1} in place.
+    projection = rng.integers(0, 2, (dataset.feature_count, dimension)).astype(np.float64)
+    projection *= 2
+    projection -= 1
     projected = dataset.train_x @ projection  # (samples, dimension)
+    stored_projection = projection.astype(np.int8)
+    del projection  # free it before the quantizer sorts a copy of `projected`
+
     classes = dataset.class_count
     counts = np.bincount(dataset.train_y, minlength=classes).astype(np.float64)
     if (counts == 0).any():
         missing = int(np.argmin(counts))
         raise ValueError(f"class {missing} has no training samples")
-    class_vectors = np.zeros((classes, dimension))
-    np.add.at(class_vectors, dataset.train_y, projected)
+    quantizer = Quantizer.fit(projected, bits)
 
+    class_vectors = np.zeros((classes, dimension))
+    for h, label in zip(projected, dataset.train_y):
+        class_vectors[label] += h
+
+    # A correction changes two class vectors, so only their norms are
+    # recomputed, with the same whole-row reduction as the full norm.
+    norms = np.linalg.norm(class_vectors, axis=1)
     for _ in range(epochs):
         for h, label in zip(projected, dataset.train_y):
-            norms = np.linalg.norm(class_vectors, axis=1)
             scores = class_vectors @ h / np.maximum(norms, 1e-12)
             pred = int(np.argmax(scores))
             if pred != label:
                 class_vectors[label] += learning_rate * h
                 class_vectors[pred] -= learning_rate * h
+                changed = [label, pred]
+                norms[changed] = np.linalg.norm(class_vectors[changed], axis=1)
 
-    quantizer = Quantizer.fit(projected, bits)
     centroids = class_vectors / counts[:, None]
     quantized = quantizer.apply(centroids)
     return HDCModel(
-        projection=projection.astype(np.int8),
+        projection=stored_projection,
         class_vectors=class_vectors,
         quantized_class_vectors=quantized,
         quantizer=quantizer,

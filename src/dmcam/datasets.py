@@ -33,6 +33,9 @@ class Dataset:
             raise ValueError("train and test must share the feature count")
         if len(self.train_y) != len(self.train_x) or len(self.test_y) != len(self.test_x):
             raise ValueError("labels must match their feature matrices")
+        for split, x in (("train", self.train_x), ("test", self.test_x)):
+            if len(x) == 0:
+                raise ValueError(f"the {split} split has no samples")
         if self.train_y.min() < 0 or self.test_y.min() < 0:
             raise ValueError("labels must be nonnegative")
 

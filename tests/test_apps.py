@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,20 @@ def test_quantizer_single_vector_and_shape_check():
     assert out.shape == (4,)
     with pytest.raises(ValueError):
         q.apply(np.zeros(5))
+
+
+def test_quantizer_rejects_non_finite_and_empty_training_data():
+    train = np.arange(12, dtype=float).reshape(4, 3)
+    for bad in (np.nan, np.inf, -np.inf):
+        corrupt = train.copy()
+        corrupt[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Quantizer.fit(corrupt, bits=2)
+    for empty in (np.zeros((0, 3)), np.zeros((4, 0))):
+        with pytest.raises(ValueError, match="empty"):
+            Quantizer.fit(empty, bits=2)
+    with pytest.raises(ValueError):
+        Quantizer.fit(train[0], bits=2)
 
 
 # -- software twins -------------------------------------------------------------
@@ -148,6 +164,34 @@ def test_hdc_train_deterministic():
     b = hdc_train(ds, dimension=128, bits=2, epochs=1, seed=7)
     assert np.array_equal(a.projection, b.projection)
     assert np.array_equal(a.quantized_class_vectors, b.quantized_class_vectors)
+
+
+def _model_digest(model):
+    digest = hashlib.sha256()
+    for array in (model.projection, model.class_vectors, model.quantized_class_vectors,
+                  model.quantizer.thresholds):
+        digest.update(str((array.dtype.str, array.shape)).encode())
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+# Recorded before the trainer was made incremental: projection, accumulation,
+# correction epochs and quantizer must keep every float bit for bit.
+HDC_TRAIN_GOLDEN = {
+    (1, 0): "df2aebfe667f4eb4332edaa8e2014c6132836dac0d03a3284c7995146272458e",
+    (1, 1): "3282afcf014540ddc75d2e485aea00057564120ccc6bb2e8a4233da84504b50e",
+    (1, 2): "98c5eaec00091f87e2b33e405d4b90b059e60e5bf55d62d92fd8e6622c7822b6",
+    (2, 0): "940fd6a1f00023b1f90eee12993710d341c5162c5184b297ce48ae3f773d7396",
+    (2, 1): "14eda05d12dc588bfd22831e1bac845a61cc9bd7ca10b49eca136b61b0a99884",
+    (2, 2): "4a933df07c90bb1b42446ea96f02e83266e84f7d3b6e1567ab3bdf662fc71feb",
+}
+
+
+@pytest.mark.parametrize("seed, epochs", sorted(HDC_TRAIN_GOLDEN))
+def test_hdc_train_golden(seed, epochs):
+    ds = synthetic_digits(n_train=300, n_test=10, features=64, seed=seed)
+    model = hdc_train(ds, dimension=512, bits=2, epochs=epochs, seed=seed)
+    assert _model_digest(model) == HDC_TRAIN_GOLDEN[seed, epochs]
 
 
 def test_hdc_missing_class_rejected():

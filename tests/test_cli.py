@@ -257,6 +257,29 @@ def test_bench_hdc_predictions_reproduce_summary(tmp_path):
     assert summary["agreement"] < 1.0
 
 
+@pytest.mark.parametrize("pipeline", ["knn", "hdc"])
+def test_bench_rejects_non_finite_training_data(tmp_path, capsys, pipeline):
+    train = tmp_path / "train.csv"
+    test = tmp_path / "test.csv"
+    train.write_text("0.0,1.0,0\nnan,0.5,1\n1.0,0.0,1\n0.5,0.5,0\n")
+    test.write_text("0.1,0.9,0\n0.9,0.1,1\n")
+    code = run(["bench", "--pipeline", pipeline, "--dataset", "csv",
+                "--train-csv", str(train), "--test-csv", str(test),
+                "--metric", "hamming", "--bits", "2", "--dimension", "16"])
+    assert code == EXIT_ERROR
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_bench_rejects_an_empty_split(capsys, split):
+    sizes = {"train": "20", "test": "5", split: "0"}
+    code = run(["bench", "--pipeline", "knn", "--dataset", "synthetic",
+                "--train-size", sizes["train"], "--test-size", sizes["test"],
+                "--metric", "hamming", "--bits", "2"])
+    assert code == EXIT_ERROR
+    assert f"the {split} split has no samples" in capsys.readouterr().err
+
+
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"metric": "manhattan", "bits": 1}))

@@ -114,3 +114,5 @@ def test_dataset_validation():
         Dataset("bad", x, y, np.zeros((2, 5)), np.zeros(2, dtype=int))
     with pytest.raises(ValueError):
         Dataset("bad", x, y - 1, x, y)
+    with pytest.raises(ValueError, match="the test split has no samples"):
+        Dataset("bad", x, y, np.zeros((0, 3)), np.zeros(0, dtype=int))
