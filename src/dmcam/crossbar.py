@@ -44,16 +44,20 @@ def query_blocks(queries) -> list[np.ndarray]:
 def entry_sums(table, stored: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """sums[q, r] = sum over d of table[queries[q, d], stored[r, d]], as float64.
 
-    One GEMM per stored symbol against that symbol's mask of the stored
-    array. An integer table gives integer sums, exact below 2**53, so equal
-    distances compare equal and ties go to the lowest index.
+    One GEMM per stored symbol against that symbol's 0/1 mask of the stored
+    array; the boolean and float64 masks are two buffers reused across
+    symbols. An integer table gives integer sums, exact below 2**53, so
+    equal distances compare equal and ties go to the lowest index.
     """
     table = np.asarray(table, dtype=np.float64)
     sums = np.zeros((len(queries), len(stored)))
+    hit = np.empty(stored.shape, dtype=bool)
+    mask = np.empty(stored.shape)
     for t in range(table.shape[1]):
-        mask = stored == t
-        if mask.any():
-            sums += table[queries, t] @ mask.T.astype(np.float64)
+        np.equal(stored, t, out=hit)
+        if hit.any():
+            np.copyto(mask, hit)
+            sums += np.take(table[:, t], queries) @ mask.T
     return sums
 
 

@@ -36,6 +36,8 @@ class Dataset:
         for split, x in (("train", self.train_x), ("test", self.test_x)):
             if len(x) == 0:
                 raise ValueError(f"the {split} split has no samples")
+        if not np.isfinite(self.test_x).all():
+            raise ValueError("test features must be finite")
         if self.train_y.min() < 0 or self.test_y.min() < 0:
             raise ValueError("labels must be nonnegative")
 

@@ -16,8 +16,9 @@ range. Three restrictions shape the search space:
 Rows are solved independently first (restriction 2) by backtracking over
 the per-entry decompositions, restriction 3 is pruned with AC-3 over row
 pairs, and a final depth-first pass extracts one globally consistent
-assignment. An independent brute-force oracle enumerates voltage-rank
-assignments directly and must agree with the solver verdict.
+assignment. On-sets travel through all three stages as int column masks.
+An independent brute-force oracle enumerates voltage-rank assignments
+directly and must agree with the solver verdict.
 """
 
 from __future__ import annotations
@@ -126,10 +127,12 @@ class RowAssignment:
     """One current tuple per stored column, for a single search row.
 
     Construction enforces the per-row rule: each branch has at most one
-    distinct nonzero multiple across the stored columns.
+    distinct nonzero multiple across the stored columns. Branch i's on-set
+    is kept as the int column mask ``masks[i]`` (bit c set when column c
+    conducts); ``on_sets`` is the same information as frozensets.
     """
 
-    __slots__ = ("tuples", "on_sets", "fet_values", "_hash")
+    __slots__ = ("tuples", "masks", "fet_values", "_hash")
 
     def __init__(self, tuples: Iterable[Sequence[int]]):
         tt = tuple(tuple(int(v) for v in t) for t in tuples)
@@ -138,21 +141,36 @@ class RowAssignment:
         k = len(tt[0])
         if any(len(t) != k for t in tt):
             raise ValueError("current tuples must all have the same branch count")
-        on_sets = []
+        masks = []
         values = []
         for i in range(k):
-            cols = frozenset(c for c, t in enumerate(tt) if t[i] != 0)
+            cols = [c for c, t in enumerate(tt) if t[i] != 0]
             vals = {tt[c][i] for c in cols}
             if len(vals) > 1:
                 raise ValueError(
                     f"branch {i} would need distinct on-currents {sorted(vals)}"
                 )
-            on_sets.append(cols)
+            masks.append(sum(1 << c for c in cols))
             values.append(next(iter(vals)) if vals else 0)
-        self.tuples = tt
-        self.on_sets = tuple(on_sets)
-        self.fet_values = tuple(values)
-        self._hash = hash(tt)
+        self._set(tt, tuple(masks), tuple(values))
+
+    def _set(self, tuples, masks, fet_values) -> None:
+        self.tuples = tuples
+        self.masks = masks
+        self.fet_values = fet_values
+        self._hash = hash(tuples)
+
+    @classmethod
+    def _checked(cls, tuples, masks, fet_values) -> "RowAssignment":
+        """An assignment whose masks and values the caller already derived."""
+        row = object.__new__(cls)
+        row._set(tuples, masks, fet_values)
+        return row
+
+    @property
+    def on_sets(self) -> tuple[frozenset[int], ...]:
+        cols = range(len(self.tuples))
+        return tuple(frozenset(c for c in cols if mask >> c & 1) for mask in self.masks)
 
     @property
     def k(self) -> int:
@@ -210,48 +228,87 @@ def backtrack_row(
 
     Columns are filled left to right, tuples tried in the order produced by
     decompose_dm, so the output order is deterministic. An empty input set
-    for any column yields no assignments.
+    for any column yields no assignments. Branch masks and on-currents are
+    built along the search path, so each result needs no re-validation.
     """
     sets = [tuple(s) for s in column_tuple_sets]
     if not sets or any(not s for s in sets):
         return ()
     k = len(sets[0][0])
+    # per column: (tuple, its nonzero (branch, current) pairs)
+    options = [
+        [(tup, tuple((i, v) for i, v in enumerate(tup) if v != 0)) for tup in col]
+        for col in sets
+    ]
     results: list[RowAssignment] = []
     values = [0] * k
+    masks = [0] * k
     choice: list[tuple[int, ...]] = []
     nodes = 0
+    last = len(options) - 1
 
     def dfs(col: int) -> None:
         nonlocal nodes
-        if col == len(sets):
-            results.append(RowAssignment(tuple(choice)))
-            return
-        for tup in sets[col]:
+        bit = 1 << col
+        for tup, on in options[col]:
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError(
                     f"row enumeration exceeded {budget} nodes; raise the budget to continue"
                 )
             changed = []
-            ok = True
-            for i, v in enumerate(tup):
-                if v == 0:
-                    continue
+            for i, v in on:
                 if values[i] == 0:
                     values[i] = v
                     changed.append(i)
                 elif values[i] != v:
-                    ok = False
                     break
-            if ok:
+            else:
+                for i, _ in on:
+                    masks[i] |= bit
                 choice.append(tup)
-                dfs(col + 1)
+                if col == last:
+                    results.append(
+                        RowAssignment._checked(tuple(choice), tuple(masks), tuple(values))
+                    )
+                else:
+                    dfs(col + 1)
                 choice.pop()
+                for i, _ in on:
+                    masks[i] ^= bit
             for i in changed:
                 values[i] = 0
 
     dfs(0)
     return tuple(results)
+
+
+class _Nesting:
+    """Branch masks of one row packed into one int, for nesting tests.
+
+    Branch i's column mask occupies bits [i*w, i*w + n) with w = n + 1; bit
+    i*w + n stays clear as a carry guard. Two packed rows x, y nest branch
+    by branch unless some field has bits of x outside y and bits of y
+    outside x. Adding ``low`` (n ones in every field) to ``x & ~y`` carries
+    into a field's guard bit exactly when that field is nonzero, so one
+    expression tests all k branches at once.
+    """
+
+    __slots__ = ("width", "low", "guard")
+
+    def __init__(self, columns: int, k: int):
+        self.width = columns + 1
+        self.low = self.pack([(1 << columns) - 1] * k)
+        self.guard = self.pack([1 << columns] * k)
+
+    def pack(self, masks: Sequence[int]) -> int:
+        packed = 0
+        for i, mask in enumerate(masks):
+            packed |= mask << (i * self.width)
+        return packed
+
+    def comparable(self, x: int, y: int) -> bool:
+        return not ((x & ~y) + self.low) & ((y & ~x) + self.low) & self.guard
 
 
 def arcs_consistent(a: RowAssignment, b: RowAssignment) -> bool:
@@ -263,10 +320,8 @@ def arcs_consistent(a: RowAssignment, b: RowAssignment) -> bool:
     """
     if a.k != b.k or a.columns != b.columns:
         raise ValueError("row assignments have mismatched shapes")
-    for sa, sb in zip(a.on_sets, b.on_sets):
-        if not (sa <= sb or sb <= sa):
-            return False
-    return True
+    nesting = _Nesting(a.columns, a.k)
+    return nesting.comparable(nesting.pack(a.masks), nesting.pack(b.masks))
 
 
 @dataclass(frozen=True)
@@ -285,25 +340,37 @@ def ac3(searchlines: Sequence[Sequence[RowAssignment]]) -> FeasibleRegion:
     """Prune row domains to pairwise-supported assignments.
 
     Textbook AC-3: FIFO queue over directed arcs, re-enqueueing neighbor
-    arcs whenever a domain is revised. Domain order is preserved so later
-    extraction is deterministic. Feasible is False as soon as any domain
-    empties; a pass here is necessary but not sufficient for a global
-    solution.
+    arcs whenever a domain is revised. Consistency depends on the branch
+    masks alone, so revising arc (i, j) checks each distinct mask signature
+    of row i once against the distinct signatures of row j. Domain order is
+    preserved so later extraction is deterministic. Feasible is False as
+    soon as any domain empties; a pass here is necessary but not sufficient
+    for a global solution.
     """
     domains = [list(d) for d in searchlines]
     region = lambda ok: FeasibleRegion(tuple(tuple(d) for d in domains), ok)
     if any(not d for d in domains):
         return region(False)
     m = len(domains)
+    nesting = _Nesting(domains[0][0].columns, domains[0][0].k)
+    packed = [[nesting.pack(a.masks) for a in d] for d in domains]
+    signatures = [list(dict.fromkeys(p)) for p in packed]
+    low, guard = nesting.low, nesting.guard
     queue = deque((i, j) for i in range(m) for j in range(m) if i != j)
     while queue:
         i, j = queue.popleft()
-        supported = [
-            a for a in domains[i] if any(arcs_consistent(a, b) for b in domains[j])
+        theirs = signatures[j]
+        # _Nesting.comparable, inlined: this is the solver's hottest loop
+        kept = [
+            x for x in signatures[i]
+            if any(not ((x & ~y) + low) & ((y & ~x) + low) & guard for y in theirs)
         ]
-        if len(supported) != len(domains[i]):
-            domains[i] = supported
-            if not supported:
+        if len(kept) != len(signatures[i]):
+            keep = set(kept)
+            domains[i] = [a for a, x in zip(domains[i], packed[i]) if x in keep]
+            packed[i] = [x for x in packed[i] if x in keep]
+            signatures[i] = kept
+            if not kept:
                 return region(False)
             queue.extend((l, i) for l in range(m) if l != i and l != j)
     return region(True)
@@ -316,17 +383,22 @@ def iter_global_assignments(
     doms = [tuple(d) for d in domains]
     if not doms or any(not d for d in doms):
         return
+    nesting = _Nesting(doms[0][0].columns, doms[0][0].k)
     chosen: list[RowAssignment] = []
+    chosen_packed: list[int] = []
 
     def dfs(row: int) -> Iterator[GlobalAssignment]:
         if row == len(doms):
             yield GlobalAssignment(tuple(chosen))
             return
         for a in doms[row]:
-            if all(arcs_consistent(a, b) for b in chosen):
+            x = nesting.pack(a.masks)
+            if all(nesting.comparable(x, y) for y in chosen_packed):
                 chosen.append(a)
+                chosen_packed.append(x)
                 yield from dfs(row + 1)
                 chosen.pop()
+                chosen_packed.pop()
 
     yield from dfs(0)
 
@@ -341,8 +413,24 @@ def extract_solution(region: FeasibleRegion) -> Optional[GlobalAssignment]:
 def _first_row_canonical(a: RowAssignment) -> bool:
     """Branch vectors in nondecreasing order: the lexicographically minimal
     representative among all branch permutations of this pattern."""
-    vectors = [tuple(t[i] for t in a.tuples) for i in range(a.k)]
-    return all(x <= y for x, y in zip(vectors, vectors[1:]))
+    branches = list(zip(a.masks, a.fet_values))
+    return all(_vector_le(x, y) for x, y in zip(branches, branches[1:]))
+
+
+def _vector_le(x: tuple[int, int], y: tuple[int, int]) -> bool:
+    """Lexicographic <= of two branch vectors, each given as (mask, current).
+
+    The vectors first differ at the lowest column where exactly one branch
+    is on, or where both are on with different currents.
+    """
+    (mx, vx), (my, vy) = x, y
+    differ = mx ^ my if vx == vy else mx | my
+    if differ == 0:
+        return True
+    first = differ & -differ
+    if first & mx and first & my:
+        return vx < vy
+    return bool(first & my)
 
 
 @dataclass(frozen=True)

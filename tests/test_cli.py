@@ -270,6 +270,19 @@ def test_bench_rejects_non_finite_training_data(tmp_path, capsys, pipeline):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pipeline", ["knn", "hdc"])
+def test_bench_rejects_non_finite_test_data(tmp_path, capsys, pipeline):
+    train = tmp_path / "train.csv"
+    test = tmp_path / "test.csv"
+    train.write_text("0.0,1.0,0\n0.2,0.5,1\n1.0,0.0,1\n0.5,0.5,0\n")
+    test.write_text("0.1,0.9,0\nnan,0.1,1\n")
+    code = run(["bench", "--pipeline", pipeline, "--dataset", "csv",
+                "--train-csv", str(train), "--test-csv", str(test),
+                "--metric", "hamming", "--bits", "2", "--dimension", "16"])
+    assert code == EXIT_ERROR
+    assert "test features must be finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("split", ["train", "test"])
 def test_bench_rejects_an_empty_split(capsys, split):
     sizes = {"train": "20", "test": "5", split: "0"}

@@ -1,0 +1,161 @@
+"""Property tests of the bitmask solver core against frozenset definitions.
+
+Every reference here recomputes on-sets from the current tuples as
+frozensets, so a mask bit left stale by the search shows up as a mismatch.
+"""
+
+import types
+from collections import deque
+from itertools import combinations, product
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dmcam import solver
+from dmcam.solver import (
+    BudgetExceededError,
+    CurrentRange,
+    RowAssignment,
+    _first_row_canonical,
+    ac3,
+    arcs_consistent,
+    backtrack_row,
+    decompose_dm,
+    iter_global_assignments,
+)
+
+
+def _on_sets(row):
+    k = len(row.tuples[0])
+    return tuple(frozenset(c for c, t in enumerate(row.tuples) if t[i]) for i in range(k))
+
+
+def _nest(a, b):
+    return all(x <= y or y <= x for x, y in zip(_on_sets(a), _on_sets(b)))
+
+
+def _single_valued(tuples):
+    k = len(tuples[0])
+    return all(len({t[i] for t in tuples if t[i]}) <= 1 for i in range(k))
+
+
+@st.composite
+def row_assignments(draw, columns, k):
+    """A row whose branch i conducts current values[i] in the columns of masks[i]."""
+    values = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    masks = draw(st.lists(st.integers(0, (1 << columns) - 1), min_size=k, max_size=k))
+    return RowAssignment(
+        tuple(tuple(v if mask >> c & 1 else 0 for v, mask in zip(values, masks))
+              for c in range(columns))
+    )
+
+
+@st.composite
+def row_pairs(draw):
+    columns, k = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    return draw(row_assignments(columns, k)), draw(row_assignments(columns, k))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(row_pairs())
+def test_mask_views_equal_frozenset_definitions(pair):
+    a, b = pair
+    assert a.on_sets == _on_sets(a)
+    assert arcs_consistent(a, b) == _nest(a, b) == arcs_consistent(b, a)
+    vectors = [tuple(t[i] for t in a.tuples) for i in range(a.k)]
+    assert _first_row_canonical(a) == all(x <= y for x, y in zip(vectors, vectors[1:]))
+
+
+@st.composite
+def domain_lists(draw):
+    columns, k, m = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    rows = row_assignments(columns, k)
+    return [draw(st.lists(rows, min_size=1, max_size=6)) for _ in range(m)]
+
+
+def _naive_ac3(domains):
+    doms = [list(d) for d in domains]
+    m = len(doms)
+    queue = deque((i, j) for i in range(m) for j in range(m) if i != j)
+    while queue:
+        i, j = queue.popleft()
+        supported = [a for a in doms[i] if any(_nest(a, b) for b in doms[j])]
+        if len(supported) != len(doms[i]):
+            doms[i] = supported
+            if not supported:
+                return doms, False
+            queue.extend((l, i) for l in range(m) if l != i and l != j)
+    return doms, True
+
+
+def _one_branch(on, columns=6):
+    return RowAssignment(tuple((1 if c in on else 0,) for c in range(columns)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(domain_lists())
+# Arc consistent, yet no triple of rows nests: extraction finds nothing.
+@example([[_one_branch({0, 1}), _one_branch({3})], [_one_branch({0}), _one_branch({1, 3})],
+          [_one_branch({0, 2, 3}), _one_branch({1})]])
+def test_ac3_and_extraction_equal_naive_frozenset_search(domains):
+    naive_domains, naive_feasible = _naive_ac3(domains)
+    region = ac3(domains)
+    assert region.feasible == naive_feasible
+    assert region.domains == tuple(tuple(d) for d in naive_domains)
+    assert [tuple(r.tuples for r in ga.rows) for ga in iter_global_assignments(domains)] == [
+        tuple(r.tuples for r in pick)
+        for pick in product(*domains)
+        if all(_nest(a, b) for a, b in combinations(pick, 2))
+    ]
+
+
+def _naive_rows(sets):
+    """Valid picks in search order, and the nodes a depth-first search tries."""
+    prefixes, nodes = [()], 0
+    for col in sets:
+        nodes += len(prefixes) * len(col)
+        prefixes = [p + (t,) for p in prefixes for t in col if _single_valued(p + (t,))]
+    return prefixes, nodes
+
+
+@st.composite
+def column_tuple_sets(draw):
+    k, columns = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    tuples = st.tuples(*[st.integers(0, 2)] * k)
+    return [draw(st.lists(tuples, min_size=1, max_size=6, unique=True)) for _ in range(columns)]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(column_tuple_sets())
+@example([decompose_dm(3, v, CurrentRange((0, 1, 2))) for v in (2, 1, 1, 0)])
+def test_backtrack_row_equals_fresh_assignments(sets):
+    naive, nodes = _naive_rows(sets)
+    got = backtrack_row(sets, budget=nodes)
+    assert [r.tuples for r in got] == naive
+    for row in got:
+        fresh = RowAssignment(row.tuples)
+        assert row.masks == fresh.masks
+        assert row.fet_values == fresh.fet_values
+        assert hash(row) == hash(fresh) and row == fresh
+    with pytest.raises(BudgetExceededError):
+        backtrack_row(sets, budget=nodes - 1)
+
+
+def _names(code):
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _names(const)
+    return names
+
+
+def test_oracle_shares_no_code_with_the_solver_pipeline():
+    oracle = set()
+    for fn in (solver.brute_force_feasible, solver._contribution_matrices,
+               solver._branch_patterns.__wrapped__):
+        oracle |= _names(fn.__code__)
+    pipeline = {"RowAssignment", "_Nesting", "backtrack_row", "ac3", "arcs_consistent",
+                "iter_global_assignments", "extract_solution", "_first_row_canonical",
+                "_vector_le", "decompose_dm", "solve_fixed_k", "masks"}
+    assert not oracle & pipeline
