@@ -99,7 +99,7 @@ class Quantizer:
 
 
 # Each twin takes one query vector or a (Q, dims) batch of them and returns
-# one answer or a tuple of answers (an array with a leading Q axis for the
+# one answer or a list of answers (an array with a leading Q axis for the
 # distances).
 
 
@@ -117,15 +117,13 @@ def software_distances(dm: DistanceMatrix, stored_q: np.ndarray, query_q: np.nda
 
 def software_nearest(dm: DistanceMatrix, stored_q: np.ndarray, query_q: np.ndarray):
     """Argmin row with lowest-index tie-break: the sensing stage's contract."""
-    nearest = np.argmin(software_distances(dm, stored_q, query_q), axis=-1)
-    return tuple(nearest.tolist()) if nearest.ndim else int(nearest)
+    return np.argmin(software_distances(dm, stored_q, query_q), axis=-1).tolist()
 
 
 def software_knn_order(dm: DistanceMatrix, stored_q: np.ndarray, query_q: np.ndarray, kq: int):
     """The kq nearest rows in ascending distance; ties go to the lowest index."""
     dists = software_distances(dm, stored_q, query_q)
-    order = np.argsort(dists, axis=-1, kind="stable")[..., :kq].tolist()
-    return tuple(map(tuple, order)) if dists.ndim == 2 else tuple(order)
+    return np.argsort(dists, axis=-1, kind="stable")[..., :kq].tolist()
 
 
 def majority_label(neighbor_labels: Sequence[int]) -> int:
@@ -217,11 +215,13 @@ def knn_classify(
     cb = Crossbar(encoding, stored_q, ladder, variation=variation, isat=isat)
     preds_hw = []
     preds_sw = []
+
+    def vote(orders):
+        return [majority_label(labels) for labels in train_y[orders].tolist()]
+
     for block in query_blocks(test_q):
-        for hw_order in cb.knn(block, kq):
-            preds_hw.append(majority_label([int(train_y[r]) for r in hw_order]))
-        for sw_order in software_knn_order(dm, stored_q, block, kq):
-            preds_sw.append(majority_label([int(train_y[r]) for r in sw_order]))
+        preds_hw += vote(cb.knn(block, kq))
+        preds_sw += vote(software_knn_order(dm, stored_q, block, kq))
     return KnnReport.from_predictions(preds_hw, preds_sw, test_y)
 
 
@@ -343,6 +343,6 @@ def hdc_evaluate(
     preds_hw = []
     preds_sw = []
     for block in query_blocks(queries):
-        preds_hw += [result.winner for result in cb.search(block)]
+        preds_hw += cb.search(block).winner
         preds_sw += software_nearest(dm, stored_q, block)
     return HdcReport.from_predictions(preds_hw, preds_sw, test_y)

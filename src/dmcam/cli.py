@@ -245,7 +245,7 @@ def cmd_compile(args) -> int:
     dm = _dm_from_args(args)
     cr = _levels_from_args(args, dm)
     t0 = time.perf_counter()
-    if args.k:
+    if args.k is not None:
         # Forced cell size: probe exactly that k.
         outcome = solve_fixed_k(dm, args.k, cr, args.budget)
         probes = [outcome]
@@ -325,13 +325,12 @@ def cmd_simulate(args) -> int:
         "# config: " + json.dumps(_config_dict(args), sort_keys=True, default=str),
         "query,row,current_a,current_units,winner",
     ]
-    results = (result for block in query_blocks(queries) for result in cb.search(block))
-    for qi, result in enumerate(results):
-        for row, current in enumerate(result.row_currents):
+    found = (cb.search(block) for block in query_blocks(queries))
+    pairs = (pair for f in found for pair in zip(f.row_currents.tolist(), f.winner))
+    for qi, (currents, winner) in enumerate(pairs):
+        for row, current in enumerate(currents):
             units = current / ladder.unit_current
-            lines.append(
-                f"{qi},{row},{current:.12e},{units:.6f},{int(row == result.winner)}"
-            )
+            lines.append(f"{qi},{row},{current:.12e},{units:.6f},{int(row == winner)}")
     _write_or_print("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -345,7 +344,7 @@ def cmd_mc(args) -> int:
         expected = [row[0] for row in _load_symbol_csv(args.expected)]
     else:
         ideal = Crossbar(encoding, stored, ladder)
-        expected = [r.winner for block in query_blocks(queries) for r in ideal.search(block)]
+        expected = [w for block in query_blocks(queries) for w in ideal.search(block).winner]
     params = VariationParams(args.sigma_vth, args.sigma_r, args.seed)
     result = monte_carlo(
         encoding, stored, queries, expected, params, args.runs,

@@ -65,12 +65,16 @@ def _nominal(variation: Optional[VariationParams]) -> bool:
     return variation is None or (variation.sigma_vth == 0 and variation.sigma_r_rel == 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QueryResult:
-    """Per-row currents plus the winning (minimum-current) row index."""
+    """The row currents of one search call plus its winning (minimum-current) rows.
 
-    row_currents: tuple[float, ...]
-    winner: int
+    row_currents is float64 in amperes, (rows,) for one query and (Q, rows)
+    for a batch; winner is one row index or a list of them.
+    """
+
+    row_currents: np.ndarray
+    winner: int | list[int]
 
 
 class Crossbar:
@@ -210,31 +214,19 @@ class Crossbar:
                 currents[i] = cells.sum(axis=(1, 2))
         return currents if q.ndim == 2 else currents[0]
 
-    def search(self, query):
-        """Winner = row with minimum current; ties go to the lowest index.
-
-        One QueryResult for one query, a tuple of them for a batch.
-        """
+    def search(self, query) -> QueryResult:
+        """Winner = row with minimum current; ties go to the lowest index."""
         currents = self.row_currents(query)
-        results = tuple(
-            QueryResult(tuple(row.tolist()), int(np.argmin(row)))
-            for row in np.atleast_2d(currents)
-        )
-        return results if currents.ndim == 2 else results[0]
+        return QueryResult(currents, np.argmin(currents, axis=-1).tolist())
 
     def knn(self, query, kq: int):
         """The kq rows of lowest current in ascending order; ties go to the lowest index.
 
-        One order for one query, a tuple of orders for a batch.
+        One list of rows for one query, a list of them for a batch.
         """
         if not 1 <= kq <= self.rows:
             raise ValueError(f"kq must be in [1, {self.rows}]")
-        found = self.search(query)
-        batch = found if isinstance(found, tuple) else (found,)
-        orders = tuple(
-            tuple(np.argsort(r.row_currents, kind="stable")[:kq].tolist()) for r in batch
-        )
-        return orders if isinstance(found, tuple) else orders[0]
+        return np.argsort(self.search(query).row_currents, axis=-1, kind="stable")[..., :kq].tolist()
 
 
 @dataclass(frozen=True)
@@ -280,10 +272,15 @@ def monte_carlo(
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    queries = [list(q) for q in queries]
+    queries = np.asarray(queries, dtype=np.int64)
+    if queries.ndim != 2 or len(queries) == 0:
+        raise ValueError("queries must be a non-empty queries x dims matrix")
     expected = tuple(int(e) for e in expected_winners)
     if len(expected) != len(queries):
         raise ValueError("one expected winner per query is required")
+    if not all(0 <= e < len(stored) for e in expected):
+        raise ValueError(f"expected winners must lie in [0, {len(stored)})")
+    blocks = query_blocks(queries)
     children = np.random.SeedSequence(params.seed).spawn(runs)
 
     def run_chunk(chunk: range) -> list[tuple[int, ...]]:
@@ -291,7 +288,7 @@ def monte_carlo(
         winners = []
         for idx in chunk:
             cb.resample_variation(np.random.default_rng(children[idx]), params)
-            winners.append(tuple(cb.search(q).winner for q in queries))
+            winners.append(tuple(w for block in blocks for w in cb.search(block).winner))
         return winners
 
     workers = max(1, min(workers, runs, os.cpu_count() or 1))

@@ -94,6 +94,12 @@ def test_compile_budget_exceeded(tmp_path):
     assert code == EXIT_BUDGET
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_compile_rejects_non_positive_k(capsys, k):
+    assert run(["compile", "--metric", "hamming", "--bits", "2", "--k", k]) == EXIT_ERROR
+    assert "k must be >= 1" in capsys.readouterr().err
+
+
 def test_verify_perturbed_encoding(tmp_path, golden_encoding, capsys):
     from dmcam.encoder import export_encoding
 
@@ -200,6 +206,20 @@ def test_mc_reproducible_and_reports_config(tmp_path, compiled_encoding_file):
     assert payload["config"]["sigma_vth"] == 0.054
     assert payload["config"]["seed"] == 5
     assert 0.0 <= payload["accuracy"] <= 1.0
+
+
+@pytest.mark.parametrize("winner", [999, -1])
+def test_mc_rejects_impossible_expected_winner(tmp_path, compiled_encoding_file, capsys, winner):
+    stored = tmp_path / "s.csv"
+    queries = tmp_path / "q.csv"
+    expected = tmp_path / "e.csv"
+    _write_symbol_csv(stored, [[0, 0], [3, 3]])
+    _write_symbol_csv(queries, [[0, 0]])
+    _write_symbol_csv(expected, [[winner]])
+    assert run(["mc", "--encoding", str(compiled_encoding_file),
+                "--stored", str(stored), "--queries", str(queries),
+                "--expected", str(expected), "--runs", "2"]) == EXIT_ERROR
+    assert "expected winners must lie in [0, 2)" in capsys.readouterr().err
 
 
 def test_bench_knn_zero_variation(tmp_path):

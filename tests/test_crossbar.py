@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dmcam import crossbar
-from dmcam.crossbar import Crossbar, QueryResult, monte_carlo
+from dmcam.crossbar import Crossbar, monte_carlo
 from dmcam.device import VariationParams, conduct, sample_variation
 from dmcam.encoder import VoltageLadder
 
@@ -95,7 +95,7 @@ def test_knn_full_ordering_matches_software(hamming_compiled, hamming_dm):
     cb = Crossbar(hamming_compiled.encoding, stored)
     order = cb.knn(query, 8)
     dists = _distances(hamming_dm, stored, query)
-    assert order == tuple(sorted(range(8), key=lambda r: (dists[r], r)))
+    assert order == sorted(range(8), key=lambda r: (dists[r], r))
     assert cb.knn(query, 1)[0] == cb.search(query).winner
 
 
@@ -145,9 +145,9 @@ def test_seeded_variation_row_currents_golden(golden_encoding):
     stored = [[0, 1, 2, 3], [3, 2, 1, 0], [1, 1, 2, 2]]
     cb = Crossbar(golden_encoding, stored, variation=VariationParams(0.054, 0.08, seed=3))
     result = cb.search([0, 1, 3, 2])
-    assert result.row_currents == (
+    assert result.row_currents.tolist() == [
         2.349559039861662e-07, 7.823461000760528e-07, 2.3143275005942717e-07,
-    )
+    ]
     assert result.winner == 2
 
 
@@ -157,13 +157,17 @@ def test_seeded_row_currents_golden_with_one_sigma_zero(golden_encoding):
     stored = [[0, 1, 2, 3], [3, 2, 1, 0], [1, 1, 2, 2]]
     query = [0, 1, 3, 2]
     vth_only = Crossbar(golden_encoding, stored, variation=VariationParams(0.2, 0.0, seed=3))
-    assert vth_only.search(query) == QueryResult(
-        (3.5762786865234375e-07, 7.152557373046875e-07, 2.384185791015625e-07), 2,
-    )
+    found = vth_only.search(query)
+    assert found.row_currents.tolist() == [
+        3.5762786865234375e-07, 7.152557373046875e-07, 2.384185791015625e-07,
+    ]
+    assert found.winner == 2
     res_only = Crossbar(golden_encoding, stored, variation=VariationParams(0.0, 0.08, seed=3))
-    assert res_only.search(query) == QueryResult(
-        (2.648563276780292e-07, 7.393828550732147e-07, 2.425766253821446e-07), 2,
-    )
+    found = res_only.search(query)
+    assert found.row_currents.tolist() == [
+        2.648563276780292e-07, 7.393828550732147e-07, 2.425766253821446e-07,
+    ]
+    assert found.winner == 2
 
 
 def _resampled(encoding, stored, seed, params=PAPER_SIGMAS):
@@ -202,7 +206,9 @@ def test_variation_determinism(hamming_compiled):
     a = Crossbar(hamming_compiled.encoding, stored, variation=PAPER_SIGMAS)
     b = Crossbar(hamming_compiled.encoding, stored, variation=PAPER_SIGMAS)
     q = [1, 1, 1]
-    assert a.search(q) == b.search(q)
+    found_a, found_b = a.search(q), b.search(q)
+    assert found_a.row_currents.tolist() == found_b.row_currents.tolist()
+    assert found_a.winner == found_b.winner
 
 
 # -- Monte Carlo ---------------------------------------------------------------
@@ -254,6 +260,15 @@ def test_mc_validation(hamming_compiled):
     with pytest.raises(ValueError):
         monte_carlo(hamming_compiled.encoding, [[0]], [[0]], [0],
                     VariationParams(0, 0, 0), runs=0)
+
+
+def test_mc_rejects_no_queries_and_impossible_winners(hamming_compiled):
+    params = VariationParams(0.054, 0.08, seed=0)
+    with pytest.raises(ValueError, match="non-empty"):
+        monte_carlo(hamming_compiled.encoding, [[0], [3]], [], [], params, runs=1)
+    for winner in (2, -1):
+        with pytest.raises(ValueError, match=r"expected winners must lie in \[0, 2\)"):
+            monte_carlo(hamming_compiled.encoding, [[0], [3]], [[0]], [winner], params, runs=1)
 
 
 def test_monte_carlo_winners_golden(golden_encoding):
@@ -317,6 +332,11 @@ def test_batch_returns_one_answer_per_query(hamming_compiled, hamming_dm):
     queries = rng.integers(0, 4, (5, 9))
     for variation in (None, PAPER_SIGMAS):
         cb = Crossbar(hamming_compiled.encoding, stored, variation=variation)
-        assert cb.search(queries) == tuple(cb.search(q) for q in queries)
-        assert cb.knn(queries, 4) == tuple(cb.knn(q, 4) for q in queries)
-    assert cb.row_currents(queries[:0]).shape == (0, 6)
+        found, singles = cb.search(queries), [cb.search(q) for q in queries]
+        assert found.row_currents.tolist() == [s.row_currents.tolist() for s in singles]
+        assert found.winner == [s.winner for s in singles]
+        assert cb.knn(queries, 4) == [cb.knn(q, 4) for q in queries]
+        empty = cb.search(queries[:0])
+        assert empty.row_currents.shape == (0, 6)
+        assert empty.winner == []
+        assert cb.knn(queries[:0], 4) == []
