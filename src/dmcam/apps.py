@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .crossbar import Crossbar, entry_sums, query_blocks
+from .crossbar import Crossbar, entry_sums, query_blocks, smallest_k
 from .datasets import Dataset
 from .device import DEFAULT_ISAT, VariationParams
 from .encoder import DEFAULT_LADDER, VoltageEncoding, VoltageLadder
@@ -89,9 +89,11 @@ class Quantizer:
             x = x[None, :]
         if x.shape[1] != self.thresholds.shape[0]:
             raise ValueError("value vector does not match the fitted feature count")
-        symbols = np.zeros(x.shape, dtype=np.int64)
+        # Counts stay below levels, so the narrowest unsigned type that holds levels - 1 suffices.
+        counts = np.zeros(x.shape, dtype=np.min_scalar_type(self.levels - 1))
         for threshold in self.thresholds.T:
-            symbols += x > threshold
+            counts += x > threshold
+        symbols = counts.astype(np.int64)
         return symbols[0] if squeeze else symbols
 
 
@@ -122,8 +124,7 @@ def software_nearest(dm: DistanceMatrix, stored_q: np.ndarray, query_q: np.ndarr
 
 def software_knn_order(dm: DistanceMatrix, stored_q: np.ndarray, query_q: np.ndarray, kq: int):
     """The kq nearest rows in ascending distance; ties go to the lowest index."""
-    dists = software_distances(dm, stored_q, query_q)
-    return np.argsort(dists, axis=-1, kind="stable")[..., :kq].tolist()
+    return smallest_k(software_distances(dm, stored_q, query_q), kq).tolist()
 
 
 def majority_label(neighbor_labels: Sequence[int]) -> int:

@@ -45,20 +45,50 @@ def entry_sums(table, stored: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """sums[q, r] = sum over d of table[queries[q, d], stored[r, d]], as float64.
 
     One GEMM per stored symbol against that symbol's 0/1 mask of the stored
-    array; the boolean and float64 masks are two buffers reused across
-    symbols. An integer table gives integer sums, exact below 2**53, so
-    equal distances compare equal and ties go to the lowest index.
+    array (stored symbols must lie in [0, n)); the boolean and float masks are
+    two buffers reused across symbols. An integral table whose bound
+    dims x max|entry| is at most 2**24 keeps every partial sum an integer
+    that float32 holds exactly, so its masks and GEMMs are float32; any other
+    table runs in float64. Either way equal distances compare equal and ties
+    go to the lowest index.
     """
     table = np.asarray(table, dtype=np.float64)
-    sums = np.zeros((len(queries), len(stored)))
+    bound = stored.shape[1] * np.abs(table).max(initial=0.0)
+    exact32 = bound <= 2**24 and np.array_equal(table, np.rint(table))
+    table = table.astype(np.float32 if exact32 else np.float64, copy=False)
+    stored = stored.astype(np.min_scalar_type(table.shape[1] - 1))
+    sums = np.zeros((len(queries), len(stored)), dtype=table.dtype)
     hit = np.empty(stored.shape, dtype=bool)
-    mask = np.empty(stored.shape)
+    mask = np.empty(stored.shape, dtype=table.dtype)
     for t in range(table.shape[1]):
         np.equal(stored, t, out=hit)
         if hit.any():
             np.copyto(mask, hit)
             sums += np.take(table[:, t], queries) @ mask.T
-    return sums
+    return sums.astype(np.float64, copy=False)
+
+
+def smallest_k(values: np.ndarray, kq: int) -> np.ndarray:
+    """Indices of the kq smallest values along the last axis, in ascending order.
+
+    Ties go to the lowest index, so this equals
+    ``np.argsort(values, axis=-1, kind="stable")[..., :kq]``: a partition finds
+    the kq-th smallest value, every value below it is kept, the lowest-index
+    values equal to it fill the rest, and only the kq kept are sorted.
+    """
+    values = np.asarray(values)
+    rows = values.shape[-1]
+    if not 1 <= kq <= rows:  # np.partition would wrap a kth of -1 around
+        raise ValueError(f"kq must be in [1, {rows}]")
+    flat = values.reshape(-1, rows)
+    cut = np.partition(flat, kq - 1, axis=-1)[:, kq - 1:kq]
+    below = flat < cut
+    at_cut = flat == cut
+    room = kq - np.count_nonzero(below, axis=-1, keepdims=True)
+    keep = below | (at_cut & (np.cumsum(at_cut, axis=-1) <= room))
+    kept = np.nonzero(keep)[1].reshape(-1, kq)  # ascending indices per query
+    order = np.argsort(np.take_along_axis(flat, kept, axis=-1), axis=-1, kind="stable")
+    return np.take_along_axis(kept, order, axis=-1).reshape(values.shape[:-1] + (kq,))
 
 
 def _nominal(variation: Optional[VariationParams]) -> bool:
@@ -224,9 +254,7 @@ class Crossbar:
 
         One list of rows for one query, a list of them for a batch.
         """
-        if not 1 <= kq <= self.rows:
-            raise ValueError(f"kq must be in [1, {self.rows}]")
-        return np.argsort(self.search(query).row_currents, axis=-1, kind="stable")[..., :kq].tolist()
+        return smallest_k(self.search(query).row_currents, kq).tolist()
 
 
 @dataclass(frozen=True)

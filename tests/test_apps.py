@@ -78,6 +78,14 @@ def test_software_knn_order_tie_break(hamming_dm):
     assert software_knn_order(hamming_dm, stored, query, 3) == [0, 2, 1]
 
 
+def test_software_knn_order_rejects_kq_outside_rows(hamming_dm):
+    stored = np.array([[1], [0], [1]])
+    for kq in (0, -1, 4):
+        for query in (np.array([1]), np.array([[1], [0]])):
+            with pytest.raises(ValueError, match=r"kq must be in \[1, 3\]"):
+                software_knn_order(hamming_dm, stored, query, kq)
+
+
 def test_software_twins_take_a_batch(hamming_dm):
     stored = np.array([[0, 0], [3, 3], [1, 2]])
     queries = np.array([[0, 0], [3, 3], [1, 1]])

@@ -1,7 +1,7 @@
 """Property tests of the quantizer against its definition and against numpy."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dmcam.apps import Quantizer
@@ -25,6 +25,8 @@ def _reference(thresholds, x):
     queries=st.integers(1, 5),
     seed=st.integers(0, 2**32 - 1),
 )
+# 511 thresholds: counts above 255 must not wrap a narrow accumulator.
+@example(bits=9, samples=12, features=3, values=4, constant=False, queries=5, seed=0)
 def test_apply_counts_thresholds_strictly_below(bits, samples, features, values, constant,
                                                  queries, seed):
     rng = np.random.default_rng(seed)

@@ -3,12 +3,13 @@
 import functools
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dmcam.apps import software_knn_order
 from dmcam.compiler import compile_dm
-from dmcam.crossbar import Crossbar
+from dmcam.crossbar import Crossbar, entry_sums, smallest_k
 from dmcam.device import DEFAULT_ISAT, VariationParams
 from dmcam.encoder import VoltageLadder
 from dmcam.metric import DistanceSpec, MetricKind, build_dm
@@ -80,3 +81,53 @@ def test_batched_row_currents_equal_per_query_rows(
     batched = cb.row_currents(queries)
     assert batched.shape == (count, rows)
     assert np.array_equal(batched, np.stack([cb.row_currents(q) for q in queries]))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    count=st.sampled_from([None, 0, 1, 2, 5]),  # None: one 1-D vector; 0: an empty batch
+    rows=st.integers(1, 40),
+    distinct=st.integers(1, 6),  # few distinct values: many ties, also at the cut
+    floats=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_smallest_k_equals_stable_argsort_prefix(count, rows, distinct, floats, seed):
+    rng = np.random.default_rng(seed)
+    shape = (rows,) if count is None else (count, rows)
+    pool = rng.normal(0.0, 1e-6, distinct) if floats else np.arange(distinct) * 3 - 5
+    values = rng.choice(pool, shape)
+    for kq in range(1, rows + 1):
+        chosen = smallest_k(values, kq)
+        assert chosen.shape == shape[:-1] + (kq,)
+        assert np.array_equal(chosen, np.argsort(values, axis=-1, kind="stable")[..., :kq])
+    for kq in (0, -1, rows + 1):  # np.partition alone would wrap kth=-1 around
+        with pytest.raises(ValueError, match=rf"kq must be in \[1, {rows}\]"):
+            smallest_k(values, kq)
+
+
+def _gather_sums(table, stored, queries):
+    """The definition, in int64: sums[q, r] = sum over d of table[queries[q, d], stored[r, d]]."""
+    return table[queries[:, None, :], stored[None]].sum(axis=-1)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    m=st.integers(1, 5),
+    n=st.integers(1, 5),
+    rows=st.integers(1, 12),
+    dims=st.integers(1, 64),
+    count=st.integers(0, 6),
+    low=st.sampled_from([0, -9, 2**22 - 7, -(2**22)]),
+    span=st.sampled_from([1, 10, 2**22]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# dims x max|entry| reaches 2**25: partial sums float32 would round.
+@example(m=4, n=4, rows=12, dims=8, count=6, low=2**22 - 7, span=10, seed=1)
+def test_entry_sums_equal_int64_gather_sums(m, n, rows, dims, count, low, span, seed):
+    rng = np.random.default_rng(seed)
+    table = rng.integers(low, low + span, (m, n))
+    stored = rng.integers(0, n, (rows, dims))
+    queries = rng.integers(0, m, (count, dims))
+    sums = entry_sums(table, stored, queries)
+    assert sums.dtype == np.float64 and sums.shape == (count, rows)
+    assert np.array_equal(sums, _gather_sums(table, stored, queries))
