@@ -17,14 +17,17 @@ Rows are solved independently first (restriction 2) by backtracking over
 the per-entry decompositions, restriction 3 is pruned with AC-3 over row
 pairs, and a final depth-first pass extracts one globally consistent
 assignment. On-sets travel through all three stages as int column masks.
-An independent brute-force oracle enumerates voltage-rank assignments
-directly and must agree with the solver verdict.
+AC-3 and extraction share one support index that keeps domain positions as
+int bitsets, so a support test is a few big-int ANDs (bitwise arc
+consistency: Lecoutre and Vion, "Enforcing arc consistency using bitwise
+operations", 2008). An independent brute-force oracle enumerates
+voltage-rank assignments directly and must agree with the solver verdict.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence
@@ -223,6 +226,7 @@ class GlobalAssignment:
 def backtrack_row(
     column_tuple_sets: Sequence[Sequence[tuple[int, ...]]],
     budget: int = DEFAULT_NODE_BUDGET,
+    canonical: bool = False,
 ) -> tuple[RowAssignment, ...]:
     """Every pick of one tuple per column keeping per-branch currents unique.
 
@@ -230,6 +234,11 @@ def backtrack_row(
     decompose_dm, so the output order is deterministic. An empty input set
     for any column yields no assignments. Branch masks and on-currents are
     built along the search path, so each result needs no re-validation.
+
+    With canonical set, only assignments whose branch vectors (branch i's
+    currents over the columns, left to right) are in nondecreasing
+    lexicographic order come out, in the same relative order. A prefix is
+    cut as soon as two adjacent branches are decided in descending order.
     """
     sets = [tuple(s) for s in column_tuple_sets]
     if not sets or any(not s for s in sets):
@@ -240,6 +249,16 @@ def backtrack_row(
         [(tup, tuple((i, v) for i, v in enumerate(tup) if v != 0)) for tup in col]
         for col in sets
     ]
+    # per tuple: the adjacent branch pairs (bit i for branches i, i+1) it
+    # orders ascending and those it orders descending
+    order = {
+        tup: (
+            sum(1 << i for i in range(k - 1) if tup[i] < tup[i + 1]),
+            sum(1 << i for i in range(k - 1) if tup[i] > tup[i + 1]),
+        )
+        for col in (sets if canonical else ())
+        for tup in col
+    }
     results: list[RowAssignment] = []
     values = [0] * k
     masks = [0] * k
@@ -247,7 +266,8 @@ def backtrack_row(
     nodes = 0
     last = len(options) - 1
 
-    def dfs(col: int) -> None:
+    def dfs(col: int, tied: int) -> None:
+        # tied: adjacent branch pairs whose vectors are equal so far
         nonlocal nodes
         bit = 1 << col
         for tup, on in options[col]:
@@ -256,6 +276,12 @@ def backtrack_row(
                 raise BudgetExceededError(
                     f"row enumeration exceeded {budget} nodes; raise the budget to continue"
                 )
+            ties = tied
+            if ties:
+                ascending, descending = order[tup]
+                if ties & descending:
+                    continue
+                ties &= ~ascending
             changed = []
             for i, v in on:
                 if values[i] == 0:
@@ -272,43 +298,15 @@ def backtrack_row(
                         RowAssignment._checked(tuple(choice), tuple(masks), tuple(values))
                     )
                 else:
-                    dfs(col + 1)
+                    dfs(col + 1, ties)
                 choice.pop()
                 for i, _ in on:
                     masks[i] ^= bit
             for i in changed:
                 values[i] = 0
 
-    dfs(0)
+    dfs(0, (1 << (k - 1)) - 1 if canonical else 0)
     return tuple(results)
-
-
-class _Nesting:
-    """Branch masks of one row packed into one int, for nesting tests.
-
-    Branch i's column mask occupies bits [i*w, i*w + n) with w = n + 1; bit
-    i*w + n stays clear as a carry guard. Two packed rows x, y nest branch
-    by branch unless some field has bits of x outside y and bits of y
-    outside x. Adding ``low`` (n ones in every field) to ``x & ~y`` carries
-    into a field's guard bit exactly when that field is nonzero, so one
-    expression tests all k branches at once.
-    """
-
-    __slots__ = ("width", "low", "guard")
-
-    def __init__(self, columns: int, k: int):
-        self.width = columns + 1
-        self.low = self.pack([(1 << columns) - 1] * k)
-        self.guard = self.pack([1 << columns] * k)
-
-    def pack(self, masks: Sequence[int]) -> int:
-        packed = 0
-        for i, mask in enumerate(masks):
-            packed |= mask << (i * self.width)
-        return packed
-
-    def comparable(self, x: int, y: int) -> bool:
-        return not ((x & ~y) + self.low) & ((y & ~x) + self.low) & self.guard
 
 
 def arcs_consistent(a: RowAssignment, b: RowAssignment) -> bool:
@@ -320,8 +318,64 @@ def arcs_consistent(a: RowAssignment, b: RowAssignment) -> bool:
     """
     if a.k != b.k or a.columns != b.columns:
         raise ValueError("row assignments have mismatched shapes")
-    nesting = _Nesting(a.columns, a.k)
-    return nesting.comparable(nesting.pack(a.masks), nesting.pack(b.masks))
+    return all(x & y in (x, y) for x, y in zip(a.masks, b.masks))
+
+
+def _bitset(positions: Iterable[int], size: int) -> int:
+    """The int with exactly the given bit positions (all below size) set."""
+    bits = bytearray((size + 7) >> 3)
+    for p in positions:
+        bits[p >> 3] |= 1 << (p & 7)
+    return int.from_bytes(bits, "little")
+
+
+class _SupportIndex:
+    """Which positions of each row's domain nest with a given branch mask.
+
+    Built from one list of branch-mask tuples per row. For row j and branch
+    b it keeps every distinct mask with the bitset of the positions holding
+    it, and memoizes, per query mask q, the OR of the bitsets whose mask
+    nests with q (a subset or a superset). The positions of row j that an
+    assignment with masks x can share a threshold ordering with are then
+    the AND over b of those ORs: a support test is k big-int ANDs. A row is
+    indexed on its first query, and positions are fixed at construction, so
+    a memo entry stays valid while callers narrow their own live bitsets.
+    """
+
+    __slots__ = ("_rows", "_branches")
+
+    def __init__(self, rows: Sequence[Sequence[tuple[int, ...]]]):
+        self._rows = rows
+        self._branches: list[Optional[list]] = [None] * len(rows)
+
+    def _index_row(self, j: int) -> list:
+        row = self._rows[j]
+        branches = []
+        for b in range(len(row[0])):
+            positions: dict[int, list[int]] = {}
+            for p, masks in enumerate(row):
+                positions.setdefault(masks[b], []).append(p)
+            values = [(v, _bitset(ps, len(row))) for v, ps in positions.items()]
+            branches.append(({}, values))
+        self._branches[j] = branches
+        return branches
+
+    def support(self, j: int, masks: Sequence[int], allowed: int) -> int:
+        """The positions of ``allowed`` in row j that nest with ``masks`` on every branch."""
+        branches = self._branches[j] or self._index_row(j)
+        for q, (memo, values) in zip(masks, branches):
+            comparable = memo.get(q)
+            if comparable is None:
+                comparable = 0
+                for v, bits in values:
+                    both = v & q
+                    if both == v or both == q:
+                        comparable |= bits
+                memo[q] = comparable
+            allowed &= comparable
+            if not allowed:
+                break
+        return allowed
 
 
 @dataclass(frozen=True)
@@ -330,6 +384,9 @@ class FeasibleRegion:
 
     domains: tuple[tuple[RowAssignment, ...], ...]
     feasible: bool
+    # ac3's input domains, its support index over them and each row's live
+    # bitset, so that extraction goes on from there instead of re-indexing
+    _support: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def domain_sizes(self) -> tuple[int, ...]:
@@ -340,97 +397,106 @@ def ac3(searchlines: Sequence[Sequence[RowAssignment]]) -> FeasibleRegion:
     """Prune row domains to pairwise-supported assignments.
 
     Textbook AC-3: FIFO queue over directed arcs, re-enqueueing neighbor
-    arcs whenever a domain is revised. Consistency depends on the branch
-    masks alone, so revising arc (i, j) checks each distinct mask signature
-    of row i once against the distinct signatures of row j. Domain order is
-    preserved so later extraction is deterministic. Feasible is False as
-    soon as any domain empties; a pass here is necessary but not sufficient
-    for a global solution.
+    arcs whenever a domain is revised. Each row keeps a live bitset over
+    its domain positions. Consistency depends on the branch masks alone, so
+    revising arc (i, j) keeps each distinct mask signature of row i whose
+    support in row j, from the support index, meets row j's live bitset.
+    Domain order is preserved so later extraction is deterministic.
+    Feasible is False as soon as any domain empties; a pass here is
+    necessary but not sufficient for a global solution.
     """
-    domains = [list(d) for d in searchlines]
-    region = lambda ok: FeasibleRegion(tuple(tuple(d) for d in domains), ok)
+    domains = [tuple(d) for d in searchlines]
     if any(not d for d in domains):
-        return region(False)
+        return FeasibleRegion(tuple(domains), False)
     m = len(domains)
-    nesting = _Nesting(domains[0][0].columns, domains[0][0].k)
-    packed = [[nesting.pack(a.masks) for a in d] for d in domains]
-    signatures = [list(dict.fromkeys(p)) for p in packed]
-    low, guard = nesting.low, nesting.guard
+    index = _SupportIndex([[a.masks for a in d] for d in domains])
+    # per row: each live signature with the domain positions holding it
+    kept: list[list[tuple[tuple[int, ...], list[int]]]] = []
+    for d in domains:
+        positions: dict[tuple[int, ...], list[int]] = {}
+        for p, a in enumerate(d):
+            positions.setdefault(a.masks, []).append(p)
+        kept.append(list(positions.items()))
+    live = [(1 << len(d)) - 1 for d in domains]
+
+    def region(feasible: bool) -> FeasibleRegion:
+        pruned = []
+        for d, signatures in zip(domains, kept):
+            keep = {x for x, _ in signatures}
+            pruned.append(tuple(a for a in d if a.masks in keep))
+        support = (domains, index, live) if feasible else None
+        return FeasibleRegion(tuple(pruned), feasible, support)
+
     queue = deque((i, j) for i in range(m) for j in range(m) if i != j)
     while queue:
         i, j = queue.popleft()
-        theirs = signatures[j]
-        # _Nesting.comparable, inlined: this is the solver's hottest loop
-        kept = [
-            x for x in signatures[i]
-            if any(not ((x & ~y) + low) & ((y & ~x) + low) & guard for y in theirs)
-        ]
-        if len(kept) != len(signatures[i]):
-            keep = set(kept)
-            domains[i] = [a for a, x in zip(domains[i], packed[i]) if x in keep]
-            packed[i] = [x for x in packed[i] if x in keep]
-            signatures[i] = kept
-            if not kept:
+        theirs = live[j]
+        still = [(x, ps) for x, ps in kept[i] if index.support(j, x, theirs)]
+        if len(still) != len(kept[i]):
+            kept[i] = still
+            live[i] = _bitset((p for _, ps in still for p in ps), len(domains[i]))
+            if not still:
                 return region(False)
             queue.extend((l, i) for l in range(m) if l != i and l != j)
     return region(True)
 
 
+def _forward_check(
+    domains: Sequence[Sequence[RowAssignment]], index: _SupportIndex, allowed: list[int]
+) -> Iterator[GlobalAssignment]:
+    """Picks of one allowed position per row, jointly consistent, in position order.
+
+    Each pick ANDs its support into the allowed bitset of every later row,
+    a pick that empties one is skipped, and a row's candidates are visited
+    lowest position first.
+    """
+    m = len(domains)
+    chosen: list[RowAssignment] = []
+
+    def dfs(row: int, allowed: list[int]) -> Iterator[GlobalAssignment]:
+        if row == m:
+            yield GlobalAssignment(tuple(chosen))
+            return
+        candidates = allowed[0]
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            a = domains[row][low.bit_length() - 1]
+            later = []
+            for j, bits in enumerate(allowed[1:], row + 1):
+                bits = index.support(j, a.masks, bits)
+                if not bits:
+                    break
+                later.append(bits)
+            else:
+                chosen.append(a)
+                yield from dfs(row + 1, later)
+                chosen.pop()
+
+    return dfs(0, allowed)
+
+
 def iter_global_assignments(
     domains: Sequence[Sequence[RowAssignment]],
 ) -> Iterator[GlobalAssignment]:
-    """Depth-first enumeration of jointly consistent row picks, in domain order."""
+    """Depth-first enumeration of jointly consistent row picks, in domain order.
+
+    Forward checking over a support index of the domains.
+    """
     doms = [tuple(d) for d in domains]
     if not doms or any(not d for d in doms):
-        return
-    nesting = _Nesting(doms[0][0].columns, doms[0][0].k)
-    chosen: list[RowAssignment] = []
-    chosen_packed: list[int] = []
-
-    def dfs(row: int) -> Iterator[GlobalAssignment]:
-        if row == len(doms):
-            yield GlobalAssignment(tuple(chosen))
-            return
-        for a in doms[row]:
-            x = nesting.pack(a.masks)
-            if all(nesting.comparable(x, y) for y in chosen_packed):
-                chosen.append(a)
-                chosen_packed.append(x)
-                yield from dfs(row + 1)
-                chosen.pop()
-                chosen_packed.pop()
-
-    yield from dfs(0)
+        return iter(())
+    index = _SupportIndex([[a.masks for a in d] for d in doms])
+    return _forward_check(doms, index, [(1 << len(d)) - 1 for d in doms])
 
 
 def extract_solution(region: FeasibleRegion) -> Optional[GlobalAssignment]:
     """First globally consistent assignment from a pruned region, or None."""
     if not region.feasible:
         return None
-    return next(iter_global_assignments(region.domains), None)
-
-
-def _first_row_canonical(a: RowAssignment) -> bool:
-    """Branch vectors in nondecreasing order: the lexicographically minimal
-    representative among all branch permutations of this pattern."""
-    branches = list(zip(a.masks, a.fet_values))
-    return all(_vector_le(x, y) for x, y in zip(branches, branches[1:]))
-
-
-def _vector_le(x: tuple[int, int], y: tuple[int, int]) -> bool:
-    """Lexicographic <= of two branch vectors, each given as (mask, current).
-
-    The vectors first differ at the lowest column where exactly one branch
-    is on, or where both are on with different currents.
-    """
-    (mx, vx), (my, vy) = x, y
-    differ = mx ^ my if vx == vy else mx | my
-    if differ == 0:
-        return True
-    first = differ & -differ
-    if first & mx and first & my:
-        return vx < vy
-    return bool(first & my)
+    if region._support is None:
+        return next(iter_global_assignments(region.domains), None)
+    return next(_forward_check(*region._support), None)
 
 
 @dataclass(frozen=True)
@@ -456,9 +522,9 @@ def solve_fixed_k(
 ) -> ProbeOutcome:
     """Run the full pipeline for one cell size.
 
-    Branch permutations are symmetric, so the first row's domain is cut to
-    patterns whose branch vectors are sorted; every solution class keeps a
-    representative and the k! duplicates disappear.
+    Branch permutations are symmetric, so the first row is enumerated in
+    canonical form only, with its branch vectors sorted; every solution
+    class keeps a representative and the k! duplicates disappear.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -477,11 +543,10 @@ def solve_fixed_k(
 
     searchlines: list[tuple[RowAssignment, ...]] = []
     for s in range(dm.m):
-        assignments = backtrack_row(dmcurs[s], budget)
+        assignments = backtrack_row(dmcurs[s], budget, canonical=s == 0)
         if not assignments:
             return ProbeOutcome(k, "empty_row")
         searchlines.append(assignments)
-    searchlines[0] = tuple(a for a in searchlines[0] if _first_row_canonical(a))
     domain_sizes = tuple(len(d) for d in searchlines)
 
     region = ac3(searchlines)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +69,32 @@ def test_compile_then_verify_roundtrip(tmp_path, capsys):
                 "--encoding", str(enc)]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert payload["passed"] is True and payload["checked"] == 16
+
+
+def test_compile_3bit_hamming_reaches_k4(tmp_path):
+    # A separate process with a hard timeout: a compile that hangs in AC-3 or
+    # extraction fails here instead of stalling the suite.
+    enc, report = tmp_path / "E.json", tmp_path / "R.json"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-m", "dmcam.cli", "compile", "--metric", "hamming", "--bits", "3",
+         "--out", str(enc), "--report", str(report)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(report.read_text())["min_k"] == 4
+    # Recompute every cell from the JSON alone: branch i conducts its drain
+    # multiple when the search gate rank exceeds the stored threshold rank.
+    data = json.loads(enc.read_text())
+    search = [data["search"][str(s)] for s in range(8)]
+    stored = [data["stored"][str(t)] for t in range(8)]
+    cells = [
+        [sum(d for g, d, v in zip(q["vgs"], q["vds"], vth) if g > v) for vth in stored]
+        for q in search
+    ]
+    assert cells == [[bin(s ^ t).count("1") for t in range(8)] for s in range(8)]
 
 
 def test_compile_forced_k_infeasible(tmp_path):

@@ -6,7 +6,7 @@ frozensets, so a mask bit left stale by the search shows up as a mismatch.
 
 import types
 from collections import deque
-from itertools import combinations, product
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,11 +17,11 @@ from dmcam.solver import (
     BudgetExceededError,
     CurrentRange,
     RowAssignment,
-    _first_row_canonical,
     ac3,
     arcs_consistent,
     backtrack_row,
     decompose_dm,
+    extract_solution,
     iter_global_assignments,
 )
 
@@ -63,15 +63,13 @@ def test_mask_views_equal_frozenset_definitions(pair):
     a, b = pair
     assert a.on_sets == _on_sets(a)
     assert arcs_consistent(a, b) == _nest(a, b) == arcs_consistent(b, a)
-    vectors = [tuple(t[i] for t in a.tuples) for i in range(a.k)]
-    assert _first_row_canonical(a) == all(x <= y for x, y in zip(vectors, vectors[1:]))
 
 
 @st.composite
 def domain_lists(draw):
     columns, k, m = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
     rows = row_assignments(columns, k)
-    return [draw(st.lists(rows, min_size=1, max_size=6)) for _ in range(m)]
+    return [draw(st.lists(rows, min_size=1, max_size=30)) for _ in range(m)]
 
 
 def _naive_ac3(domains):
@@ -89,25 +87,48 @@ def _naive_ac3(domains):
     return doms, True
 
 
-def _one_branch(on, columns=6):
-    return RowAssignment(tuple((1 if c in on else 0,) for c in range(columns)))
+def _naive_picks(domains, pick=()):
+    """Pairwise-nesting picks of one row per domain, in lexicographic order."""
+    if len(pick) == len(domains):
+        yield tuple(r.tuples for r in pick)
+        return
+    for a in domains[len(pick)]:
+        if all(_nest(a, b) for b in pick):
+            yield from _naive_picks(domains, pick + (a,))
+
+
+def _rows(columns, *on_sets):
+    """Single-current RowAssignment with the given per-branch on columns."""
+    return RowAssignment(
+        tuple(tuple(1 if c in on else 0 for on in on_sets) for c in range(columns))
+    )
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(domain_lists())
 # Arc consistent, yet no triple of rows nests: extraction finds nothing.
-@example([[_one_branch({0, 1}), _one_branch({3})], [_one_branch({0}), _one_branch({1, 3})],
-          [_one_branch({0, 2, 3}), _one_branch({1})]])
+@example([[_rows(6, {0, 1}), _rows(6, {3})], [_rows(6, {0}), _rows(6, {1, 3})],
+          [_rows(6, {0, 2, 3}), _rows(6, {1})]])
+# Row 2 is pruned on arc (2, 0) and again on arc (2, 1); arc (0, 2) then has
+# to see the second loss to drop row 0's second pick, whose only partner it was.
+@example([[_rows(5, {0}, {0, 2, 3, 4}), _rows(5, {0, 2, 4}, {0, 1, 2, 3, 4})],
+          [_rows(5, {0, 4}, {0, 2, 3, 4})],
+          [_rows(5, {4}, {0, 4}), _rows(5, {0, 1, 3}, {0, 3}), _rows(5, {2, 3}, {1, 2, 4})]])
+# More than 64 columns: support bitsets and nesting tests span several words.
+@example([[_rows(70, {0, 65}, {69}), _rows(70, {65}, set()), _rows(70, {64, 66}, {1})],
+          [_rows(70, {0, 1, 65}, {68, 69}), _rows(70, {65, 66}, {68}), _rows(70, {66}, {1, 69})],
+          [_rows(70, {0, 1, 2, 65}, {69}), _rows(70, {64, 65, 66}, {1, 2})]])
 def test_ac3_and_extraction_equal_naive_frozenset_search(domains):
     naive_domains, naive_feasible = _naive_ac3(domains)
     region = ac3(domains)
     assert region.feasible == naive_feasible
     assert region.domains == tuple(tuple(d) for d in naive_domains)
-    assert [tuple(r.tuples for r in ga.rows) for ga in iter_global_assignments(domains)] == [
-        tuple(r.tuples for r in pick)
-        for pick in product(*domains)
-        if all(_nest(a, b) for a, b in combinations(pick, 2))
-    ]
+    first = 1000  # a one-column draw can nest all 30**4 picks: compare the first ones, in order
+    expected = list(islice(_naive_picks(domains), first))
+    got = iter_global_assignments(domains)
+    assert [tuple(r.tuples for r in ga.rows) for ga in islice(got, first)] == expected
+    ga = extract_solution(region)
+    assert ([tuple(r.tuples for r in ga.rows)] if ga else []) == expected[:1]
 
 
 def _naive_rows(sets):
@@ -142,6 +163,24 @@ def test_backtrack_row_equals_fresh_assignments(sets):
         backtrack_row(sets, budget=nodes - 1)
 
 
+def _sorted_vectors(tuples):
+    """Branch vectors (branch i's currents over the columns) nondecreasing."""
+    vectors = list(zip(*tuples))
+    return all(x <= y for x, y in zip(vectors, vectors[1:]))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(column_tuple_sets())
+@example([decompose_dm(3, v, CurrentRange((0, 1, 2))) for v in (2, 1, 1, 0)])
+# The two branches tie through column 1 on (1, 1) or (0, 0) picks and are
+# decided in column 2; other prefixes are decided in column 0 or 1.
+@example([[(1, 1), (0, 1), (1, 0)], [(1, 1), (0, 1), (1, 0), (0, 0)], [(0, 1), (1, 0)]])
+def test_canonical_rows_equal_sorted_vector_filter(sets):
+    naive, nodes = _naive_rows(sets)
+    got = backtrack_row(sets, budget=nodes, canonical=True)
+    assert [r.tuples for r in got] == [t for t in naive if _sorted_vectors(t)]
+
+
 def _names(code):
     names = set(code.co_names)
     for const in code.co_consts:
@@ -155,7 +194,7 @@ def test_oracle_shares_no_code_with_the_solver_pipeline():
     for fn in (solver.brute_force_feasible, solver._contribution_matrices,
                solver._branch_patterns.__wrapped__):
         oracle |= _names(fn.__code__)
-    pipeline = {"RowAssignment", "_Nesting", "backtrack_row", "ac3", "arcs_consistent",
-                "iter_global_assignments", "extract_solution", "_first_row_canonical",
-                "_vector_le", "decompose_dm", "solve_fixed_k", "masks"}
+    pipeline = {"RowAssignment", "_SupportIndex", "_bitset", "backtrack_row", "ac3",
+                "arcs_consistent", "_forward_check", "iter_global_assignments",
+                "extract_solution", "decompose_dm", "solve_fixed_k", "masks"}
     assert not oracle & pipeline
