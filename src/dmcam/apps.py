@@ -19,7 +19,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .crossbar import Crossbar, entry_sums, query_blocks, smallest_k
+from .crossbar import (
+    Crossbar, checked_symbols, entry_sums, narrow_symbols, query_blocks, smallest_k,
+)
 from .datasets import Dataset
 from .device import DEFAULT_ISAT, VariationParams
 from .encoder import DEFAULT_LADDER, VoltageEncoding, VoltageLadder
@@ -78,23 +80,25 @@ class Quantizer:
         return cls(thresholds, bits)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """Symbol = number of thresholds strictly below the value.
+        """Symbol = number of thresholds strictly below the value, as int64.
 
         A constant feature collapses every threshold onto the same point, so
         all of its values land in level 0.
         """
+        return self._counts(values).astype(np.int64)
+
+    def _counts(self, values: np.ndarray) -> np.ndarray:
+        """apply's symbols in the narrowest unsigned dtype that holds levels - 1."""
         x = np.asarray(values, dtype=np.float64)
         squeeze = x.ndim == 1
         if squeeze:
             x = x[None, :]
         if x.shape[1] != self.thresholds.shape[0]:
             raise ValueError("value vector does not match the fitted feature count")
-        # Counts stay below levels, so the narrowest unsigned type that holds levels - 1 suffices.
         counts = np.zeros(x.shape, dtype=np.min_scalar_type(self.levels - 1))
         for threshold in self.thresholds.T:
             counts += x > threshold
-        symbols = counts.astype(np.int64)
-        return symbols[0] if squeeze else symbols
+        return counts[0] if squeeze else counts
 
 
 # -- software twins ----------------------------------------------------------
@@ -107,12 +111,8 @@ class Quantizer:
 
 def software_distances(dm: DistanceMatrix, stored_q: np.ndarray, query_q: np.ndarray) -> np.ndarray:
     """Per-row integer distances: sum of per-dimension matrix entries."""
-    stored_q = np.atleast_2d(np.asarray(stored_q, dtype=np.int64))
-    query_q = np.asarray(query_q, dtype=np.int64)
-    if stored_q.min() < 0 or stored_q.max() >= dm.n:
-        raise ValueError("stored symbols must lie in [0, n)")
-    if query_q.size and (query_q.min() < 0 or query_q.max() >= dm.m):
-        raise ValueError("query symbols must lie in [0, m)")
+    stored_q = np.atleast_2d(checked_symbols(stored_q, dm.n, "stored symbols must lie in [0, n)"))
+    query_q = checked_symbols(query_q, dm.m, "query symbols must lie in [0, m)")
     dists = entry_sums(dm.entries, stored_q, np.atleast_2d(query_q)).astype(np.int64)
     return dists if query_q.ndim == 2 else dists[0]
 
@@ -209,8 +209,11 @@ def knn_classify(
     index tie-break and votes with the same rule.
     """
     quantizer = Quantizer.fit(train_x, bits)
-    stored_q = quantizer.apply(train_x)
-    test_q = quantizer.apply(test_x)
+    # Symbols stay narrow on their way to the masks: the stored set is counted
+    # narrow; the test set goes through apply (perfbench/spans.py expects
+    # Quantizer.apply calls on knn) and is narrowed once.
+    stored_q = quantizer._counts(train_x)
+    test_q = narrow_symbols(quantizer.apply(test_x), quantizer.levels)
     train_y = np.asarray(train_y, dtype=np.int64)
 
     cb = Crossbar(encoding, stored_q, ladder, variation=variation, isat=isat)
@@ -249,8 +252,12 @@ class HDCModel:
         return self.class_vectors.shape[0]
 
     def encode(self, x: np.ndarray) -> np.ndarray:
-        """Project one sample (or a batch) and quantize to symbols."""
-        return self.quantizer.apply(np.asarray(x, dtype=np.float64) @ self.projection)
+        """Project one sample (or a batch) and quantize to symbols.
+
+        Unlike Quantizer.apply, the symbols come in the narrowest unsigned
+        dtype that holds levels - 1, so searching them copies nothing.
+        """
+        return self.quantizer._counts(np.asarray(x, dtype=np.float64) @ self.projection)
 
 
 def hdc_train(
@@ -273,6 +280,8 @@ def hdc_train(
     """
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
     rng = np.random.default_rng(seed)
     # Draw {0, 1} in the stream's int64 and map it to {-1, +1} in place.
     projection = rng.integers(0, 2, (dataset.feature_count, dimension)).astype(np.float64)
@@ -340,7 +349,7 @@ def hdc_evaluate(
 ) -> HdcReport:
     """Classify each test sample on the class array and with the software twin."""
     queries = model.encode(test_x)
-    stored_q = model.quantized_class_vectors
+    stored_q = narrow_symbols(model.quantized_class_vectors, model.quantizer.levels)
     preds_hw = []
     preds_sw = []
     for block in query_blocks(queries):

@@ -87,7 +87,13 @@ def write_idx(path: str | Path, array: np.ndarray) -> None:
         f.write(arr.tobytes())
 
 
-def _subset(x: np.ndarray, y: np.ndarray, size: int | None, rng: np.random.Generator):
+def _check_size(split: str, size: int | None) -> None:
+    if size is not None and size < 0:
+        raise ValueError(f"{split} size must be >= 0, got {size}")
+
+
+def _subset(x: np.ndarray, y: np.ndarray, size: int | None, rng: np.random.Generator, split: str):
+    _check_size(split, size)
     if size is None or size >= len(x):
         return x, y
     idx = rng.permutation(len(x))[:size]
@@ -120,8 +126,9 @@ def load_mnist(
     rng = np.random.default_rng(seed)
     train_x = arrays["train_x"].reshape(len(arrays["train_x"]), -1).astype(np.float64)
     test_x = arrays["test_x"].reshape(len(arrays["test_x"]), -1).astype(np.float64)
-    train_x, train_y = _subset(train_x, arrays["train_y"].astype(np.int64), train_size, rng)
-    test_x, test_y = _subset(test_x, arrays["test_y"].astype(np.int64), test_size, rng)
+    train_y, test_y = arrays["train_y"].astype(np.int64), arrays["test_y"].astype(np.int64)
+    train_x, train_y = _subset(train_x, train_y, train_size, rng, "train")
+    test_x, test_y = _subset(test_x, test_y, test_size, rng, "test")
     return Dataset("mnist", train_x, train_y, test_x, test_y)
 
 
@@ -163,6 +170,8 @@ def synthetic_digits(
     real handwritten corpus is not on disk; it exercises every pipeline
     stage identically.
     """
+    _check_size("train", n_train)
+    _check_size("test", n_test)
     rng = np.random.default_rng(seed)
     base = rng.uniform(0.3, 0.7, features)
     templates = np.clip(base + spread * rng.normal(0.0, 1.0, (classes, features)), 0.0, 1.0)

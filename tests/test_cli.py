@@ -15,6 +15,7 @@ from dmcam.cli import (
     EXIT_USAGE,
     main,
 )
+from dmcam.datasets import synthetic_digits_via_idx
 
 
 def run(argv):
@@ -341,6 +342,29 @@ def test_bench_rejects_an_empty_split(capsys, split):
                 "--metric", "hamming", "--bits", "2"])
     assert code == EXIT_ERROR
     assert f"the {split} split has no samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dataset", ["synthetic", "mnist"])
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_bench_rejects_a_negative_size(tmp_path, capsys, dataset, split):
+    sizes = {"train": "20", "test": "5", split: "-5"}
+    source = []
+    if dataset == "mnist":
+        synthetic_digits_via_idx(tmp_path, n_train=20, n_test=5, features=16, seed=0)
+        source = ["--data-root", str(tmp_path)]
+    code = run(["bench", "--pipeline", "knn", "--dataset", dataset, *source,
+                "--train-size", sizes["train"], "--test-size", sizes["test"],
+                "--metric", "hamming", "--bits", "2"])
+    assert code == EXIT_ERROR
+    assert f"{split} size must be >= 0, got -5" in capsys.readouterr().err
+
+
+def test_bench_hdc_rejects_negative_epochs(capsys):
+    code = run(["bench", "--pipeline", "hdc", "--dataset", "synthetic",
+                "--train-size", "20", "--test-size", "5", "--epochs", "-1",
+                "--metric", "hamming", "--bits", "2", "--dimension", "16"])
+    assert code == EXIT_ERROR
+    assert "epochs must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Property tests of batched, exact sensing over ladders, metrics and shapes."""
 
 import functools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from dmcam.apps import software_knn_order
 from dmcam.compiler import compile_dm
 from dmcam.crossbar import Crossbar, entry_sums, smallest_k
 from dmcam.device import DEFAULT_ISAT, VariationParams
-from dmcam.encoder import VoltageLadder
+from dmcam.encoder import VoltageLadder, load_encoding, verify_encoding
 from dmcam.metric import DistanceSpec, MetricKind, build_dm
 
 KINDS = ("hamming", "manhattan", "sq_euclidean")
@@ -60,6 +61,39 @@ def test_zero_variation_knn_equals_software_order(
     cb = Crossbar(compiled.encoding, stored, ladder)
     for kq in range(1, rows + 1):
         assert cb.knn(queries, kq) == software_knn_order(compiled.dm, stored, queries, kq)
+
+
+# What `dmcam compile --metric hamming --bits 3` writes: min k = 4, m = n = 8.
+HAMMING3_PATH = Path(__file__).parent / "data" / "hamming3_4fet.json"
+
+
+@functools.cache
+def _hamming3():
+    dm = build_dm(DistanceSpec(MetricKind.HAMMING, 3))
+    encoding = load_encoding(HAMMING3_PATH)
+    assert verify_encoding(encoding, dm).passed  # a stale file fails here
+    return dm, encoding
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    rows=st.integers(1, 16),
+    dims=st.integers(1, 64),
+    count=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+    **ladders,
+)
+# More query cells than stored ones (the queries get the masks), then fewer.
+@example(rows=2, dims=40, count=24, seed=20, unit_vds=0.1, resistance=1e6)
+@example(rows=16, dims=40, count=3, seed=21, unit_vds=0.1, resistance=1e6)
+def test_zero_variation_knn_equals_software_order_3bit(rows, dims, count, seed, unit_vds, resistance):
+    dm, encoding = _hamming3()
+    ladder = _ladder(encoding, unit_vds, resistance)
+    stored = _symbols(seed, rows, dims, dm.n)
+    queries = _symbols(seed + 1, count, dims, dm.m)
+    cb = Crossbar(encoding, stored, ladder)
+    for kq in range(1, rows + 1):
+        assert cb.knn(queries, kq) == software_knn_order(dm, stored, queries, kq)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -123,6 +157,18 @@ def _gather_sums(table, stored, queries):
 )
 # dims x max|entry| reaches 2**25: partial sums float32 would round.
 @example(m=4, n=4, rows=12, dims=8, count=6, low=2**22 - 7, span=10, seed=1)
+# The stored array has more cells and gets the masks, then the query batch does.
+@example(m=5, n=5, rows=12, dims=40, count=1, low=-9, span=10, seed=2)
+@example(m=5, n=5, rows=1, dims=40, count=6, low=-9, span=10, seed=3)
+# One symbol on the mask side: the base-row sum alone, no GEMM.
+@example(m=3, n=1, rows=12, dims=20, count=2, low=-9, span=10, seed=4)
+@example(m=1, n=3, rows=2, dims=20, count=6, low=-9, span=10, seed=5)
+@example(m=4, n=4, rows=5, dims=16, count=0, low=0, span=10, seed=6)  # an empty batch
+# dims x max|T| is 2**24, but T - T[0] reaches twice max|T|: the GEMMs'
+# partial sums of differences pass 2**24 and float32 would round them,
+# with the masks on the stored array and then on the queries.
+@example(m=2, n=2, rows=12, dims=8, count=6, low=-(2**21), span=2**22, seed=25)
+@example(m=2, n=2, rows=1, dims=8, count=6, low=-(2**21), span=2**22, seed=156)
 def test_entry_sums_equal_int64_gather_sums(m, n, rows, dims, count, low, span, seed):
     rng = np.random.default_rng(seed)
     table = rng.integers(low, low + span, (m, n))
