@@ -11,7 +11,6 @@ from .solver import (
     GlobalAssignment,
     RowAssignment,
     ac3,
-    arcs_consistent,
     backtrack_row,
     brute_force_feasible,
     decompose_dm,

@@ -23,7 +23,7 @@ from .crossbar import (
     Crossbar, checked_symbols, entry_sums, narrow_symbols, query_blocks, smallest_k,
 )
 from .datasets import Dataset
-from .device import DEFAULT_ISAT, VariationParams
+from .device import VariationParams
 from .encoder import DEFAULT_LADDER, VoltageEncoding, VoltageLadder
 from .metric import DistanceMatrix
 
@@ -201,7 +201,6 @@ def knn_classify(
     kq: int = 1,
     ladder: VoltageLadder = DEFAULT_LADDER,
     variation: Optional[VariationParams] = None,
-    isat: float = DEFAULT_ISAT,
 ) -> KnnReport:
     """Store the quantized training set row-per-sample and classify queries.
 
@@ -216,7 +215,7 @@ def knn_classify(
     test_q = narrow_symbols(quantizer.apply(test_x), quantizer.levels)
     train_y = np.asarray(train_y, dtype=np.int64)
 
-    cb = Crossbar(encoding, stored_q, ladder, variation=variation, isat=isat)
+    cb = Crossbar(encoding, stored_q, ladder, variation=variation)
     preds_hw = []
     preds_sw = []
 
@@ -232,6 +231,9 @@ def knn_classify(
 # -- hyperdimensional classification -------------------------------------------
 
 
+HDC_LEARNING_RATE = 0.1  # scale of one correction-epoch update
+
+
 @dataclass
 class HDCModel:
     """Random projection plus per-class prototype vectors."""
@@ -240,12 +242,6 @@ class HDCModel:
     class_vectors: np.ndarray  # (classes, dimension) float accumulators
     quantized_class_vectors: np.ndarray  # (classes, dimension) symbols
     quantizer: Quantizer  # fitted on projected training vectors
-    bits: int
-    seed: int
-
-    @property
-    def dimension(self) -> int:
-        return self.projection.shape[1]
 
     @property
     def class_count(self) -> int:
@@ -266,14 +262,13 @@ def hdc_train(
     bits: int = 2,
     epochs: int = 0,
     seed: int = 0,
-    learning_rate: float = 0.1,
 ) -> HDCModel:
     """Single-pass prototype accumulation with optional correction epochs.
 
     Pass 1 sums each class's projected training vectors. Each extra epoch
     revisits samples in order and, on a cosine-similarity misprediction,
     adds the scaled sample to its true class vector and subtracts it from
-    the predicted one; the learning rate keeps single corrections small
+    the predicted one; HDC_LEARNING_RATE keeps single corrections small
     next to the accumulated prototype. Prototypes are scaled to per-sample
     magnitude (divided by class size) before sharing the train-fitted
     quantizer.
@@ -310,8 +305,8 @@ def hdc_train(
             scores = class_vectors @ h / np.maximum(norms, 1e-12)
             pred = int(np.argmax(scores))
             if pred != label:
-                class_vectors[label] += learning_rate * h
-                class_vectors[pred] -= learning_rate * h
+                class_vectors[label] += HDC_LEARNING_RATE * h
+                class_vectors[pred] -= HDC_LEARNING_RATE * h
                 changed = [label, pred]
                 norms[changed] = np.linalg.norm(class_vectors[changed], axis=1)
 
@@ -322,8 +317,6 @@ def hdc_train(
         class_vectors=class_vectors,
         quantized_class_vectors=quantized,
         quantizer=quantizer,
-        bits=bits,
-        seed=seed,
     )
 
 
@@ -332,12 +325,9 @@ def hdc_class_crossbar(
     encoding: VoltageEncoding,
     ladder: VoltageLadder = DEFAULT_LADDER,
     variation: Optional[VariationParams] = None,
-    isat: float = DEFAULT_ISAT,
 ) -> Crossbar:
     """Array with one row per class, programmed with the quantized prototypes."""
-    return Crossbar(
-        encoding, model.quantized_class_vectors, ladder, variation=variation, isat=isat
-    )
+    return Crossbar(encoding, model.quantized_class_vectors, ladder, variation=variation)
 
 
 def hdc_evaluate(

@@ -58,7 +58,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_metric_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--metric", choices=[m.value for m in MetricKind if m is not MetricKind.CUSTOM])
+    p.add_argument("--metric", choices=[m.value for m in MetricKind])
     p.add_argument("--bits", type=int, default=2)
     p.add_argument("--custom", help="CSV file with a custom distance matrix")
 
@@ -376,10 +376,8 @@ def _load_bench_dataset(args) -> datasets.Dataset:
 
 
 def cmd_bench(args) -> int:
-    if not args.metric:
-        raise SystemExit2("--metric is required for bench")
+    dm = _dm_from_args(args)
     ds = _load_bench_dataset(args)
-    dm = build_dm(DistanceSpec(MetricKind(args.metric), args.bits))
     cr = _levels_from_args(args, dm)
     compiled = compile_dm(dm, cr, k_max=args.k_max)
     if not compiled.feasible:

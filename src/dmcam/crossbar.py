@@ -161,11 +161,9 @@ class Crossbar:
         stored: Sequence[Sequence[int]],
         ladder: VoltageLadder = DEFAULT_LADDER,
         variation: Optional[VariationParams] = None,
-        isat: float = DEFAULT_ISAT,
     ):
         self.encoding = encoding
         self.ladder = ladder
-        self.isat = float(isat)
 
         stored_arr = checked_symbols(stored, encoding.n, "stored symbols must lie in [0, n)")
         if stored_arr.ndim != 2 or stored_arr.shape[0] < 1 or stored_arr.shape[1] < 1:
@@ -219,19 +217,19 @@ class Crossbar:
 
         The device model runs once per (search, stored) symbol pair instead
         of once per device. A ladder whose nominal cell currents are not
-        integer multiples of the unit current (a branch capped by isat) is
-        rejected: sensing in unit space would misreport it.
+        integer multiples of the unit current (a branch capped at
+        DEFAULT_ISAT) is rejected: sensing in unit space would misreport it.
         """
         unit = self.unit_current
         cells = conduct(
             self._vgs_by_symbol[:, None], self._vds_by_symbol[:, None],
-            self._vth_by_symbol[None], self.ladder.resistance, self.isat,
+            self._vth_by_symbol[None], self.ladder.resistance,
         ).sum(axis=2)
         units = np.rint(cells / unit)
         if not np.allclose(cells, units * unit, rtol=1e-9, atol=0):
             raise ValueError(
                 "ladder saturates: nominal cell currents are not integer multiples "
-                f"of the unit current {unit:.6g} A (a branch reaches isat={self.isat:.6g} A)"
+                f"of the unit current {unit:.6g} A (a branch reaches isat={DEFAULT_ISAT:.6g} A)"
             )
         self._units = units
 
@@ -280,8 +278,7 @@ class Crossbar:
             currents = np.empty((len(batch), self.rows))
             for i, symbols in enumerate(batch):
                 vgs, vds = self._vgs_by_symbol[symbols], self._vds_by_symbol[symbols]
-                cells = conduct(vgs, vds, self._vth, self._res, self.isat,
-                                out=self._sense_buffers)
+                cells = conduct(vgs, vds, self._vth, self._res, out=self._sense_buffers)
                 currents[i] = cells.sum(axis=(1, 2))
         return currents if q.ndim == 2 else currents[0]
 
@@ -305,7 +302,6 @@ class MonteCarloResult:
     accuracy: float
     winners: tuple[tuple[int, ...], ...]  # [run][query]
     expected: tuple[int, ...]
-    seed: int
 
     @property
     def runs(self) -> int:
@@ -328,7 +324,6 @@ def monte_carlo(
     params: VariationParams,
     runs: int,
     ladder: VoltageLadder = DEFAULT_LADDER,
-    isat: float = DEFAULT_ISAT,
     workers: int = 1,
 ) -> MonteCarloResult:
     """Accuracy of the sensed winner under freshly sampled device variation.
@@ -353,7 +348,7 @@ def monte_carlo(
     children = np.random.SeedSequence(params.seed).spawn(runs)
 
     def run_chunk(chunk: range) -> list[tuple[int, ...]]:
-        cb = Crossbar(encoding, stored, ladder, variation=None, isat=isat)
+        cb = Crossbar(encoding, stored, ladder)
         winners = []
         for idx in chunk:
             cb.resample_variation(np.random.default_rng(children[idx]), params)
@@ -372,4 +367,4 @@ def monte_carlo(
 
     total = runs * len(queries)
     hits = sum(w == e for row in winners for w, e in zip(row, expected))
-    return MonteCarloResult(hits / total, winners, expected, params.seed)
+    return MonteCarloResult(hits / total, winners, expected)

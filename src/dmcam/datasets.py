@@ -12,6 +12,14 @@ import numpy as np
 IDX_UBYTE = 0x08
 
 
+def _integer_labels(values, split: str) -> np.ndarray:
+    """Labels as int64; a fractional or non-finite float label raises ValueError."""
+    labels = np.asarray(values)
+    if labels.dtype.kind == "f" and not (np.isfinite(labels) & (labels == np.trunc(labels))).all():
+        raise ValueError(f"{split} labels must be integers")
+    return labels.astype(np.int64)
+
+
 @dataclass
 class Dataset:
     """Train/test feature matrices with integer class labels."""
@@ -25,8 +33,8 @@ class Dataset:
     def __post_init__(self) -> None:
         self.train_x = np.asarray(self.train_x, dtype=np.float64)
         self.test_x = np.asarray(self.test_x, dtype=np.float64)
-        self.train_y = np.asarray(self.train_y, dtype=np.int64)
-        self.test_y = np.asarray(self.test_y, dtype=np.int64)
+        self.train_y = _integer_labels(self.train_y, "train")
+        self.test_y = _integer_labels(self.test_y, "test")
         if self.train_x.ndim != 2 or self.test_x.ndim != 2:
             raise ValueError("feature matrices must be 2-D")
         if self.train_x.shape[1] != self.test_x.shape[1]:
@@ -132,7 +140,7 @@ def load_mnist(
     return Dataset("mnist", train_x, train_y, test_x, test_y)
 
 
-def load_csv_dataset(train_path: str | Path, test_path: str | Path, name: str = "csv") -> Dataset:
+def load_csv_dataset(train_path: str | Path, test_path: str | Path) -> Dataset:
     """Rows of 'feature,...,feature,label'; '#' lines are skipped."""
 
     def read(path):
@@ -143,14 +151,14 @@ def load_csv_dataset(train_path: str | Path, test_path: str | Path, name: str = 
                 continue
             cells = [float(c) for c in line.split(",")]
             feats.append(cells[:-1])
-            labels.append(int(cells[-1]))
+            labels.append(cells[-1])
         if not feats:
             raise ValueError(f"{path}: no data rows")
         return np.asarray(feats), np.asarray(labels)
 
     train_x, train_y = read(train_path)
     test_x, test_y = read(test_path)
-    return Dataset(name, train_x, train_y, test_x, test_y)
+    return Dataset("csv", train_x, train_y, test_x, test_y)
 
 
 def synthetic_digits(

@@ -35,8 +35,8 @@ class VariationParams:
             raise ValueError("sigmas must be nonnegative")
 
 
-def conduct(vgs, vds, vth, resistance, isat: float = DEFAULT_ISAT, out=None) -> np.ndarray:
-    """Branch current: ohmic vds/R capped at saturation when on, else 0.
+def conduct(vgs, vds, vth, resistance, out=None) -> np.ndarray:
+    """Branch current: ohmic vds/R capped at DEFAULT_ISAT when on, else 0.
 
     The switch at vth is hard; subthreshold leakage is not modeled. out is
     an optional (current, on) pair of float64 and bool arrays of the
@@ -51,7 +51,7 @@ def conduct(vgs, vds, vth, resistance, isat: float = DEFAULT_ISAT, out=None) -> 
     current, on = out
     np.greater(vgs, vth, out=on)
     np.divide(vds, resistance, out=current)
-    np.minimum(current, isat, out=current)
+    np.minimum(current, DEFAULT_ISAT, out=current)
     return np.multiply(current, on, out=current)
 
 

@@ -10,6 +10,7 @@ branches of a cell this must reproduce the compiled distance entry.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -223,23 +224,17 @@ class VoltageLadder:
 DEFAULT_LADDER = VoltageLadder()
 
 
-def encoding_to_dict(enc: VoltageEncoding) -> dict:
-    return {
+def export_encoding(enc: VoltageEncoding) -> str:
+    """Serialize to the canonical JSON schema (lossless round trip)."""
+    data = {
         "k": enc.k,
         "stored": {str(t): list(enc.vth_ranks[t]) for t in range(enc.n)},
         "search": {
-            str(s): {
-                "vgs": list(enc.vgs_ranks[s]),
-                "vds": list(enc.vds_multiples[s]),
-            }
+            str(s): {"vgs": list(enc.vgs_ranks[s]), "vds": list(enc.vds_multiples[s])}
             for s in range(enc.m)
         },
     }
-
-
-def export_encoding(enc: VoltageEncoding) -> str:
-    """Serialize to the canonical JSON schema (lossless round trip)."""
-    return json.dumps(encoding_to_dict(enc), indent=2, sort_keys=True) + "\n"
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def _symbol_table(section: dict, what: str) -> list:
@@ -252,8 +247,20 @@ def _symbol_table(section: dict, what: str) -> list:
     return [section[key] for key in keys]
 
 
+def _integer(value, what: str) -> int:
+    """value as an int; a float, a string or any other non-integer raises ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def import_encoding(source: str | dict) -> VoltageEncoding:
-    """Parse the JSON schema back into an encoding, validating ranks."""
+    """Parse the JSON schema back into an encoding, validating ranks.
+
+    k, ranks and multiples must be JSON integers: 1.7 or "3" is rejected,
+    not truncated.
+    """
     if isinstance(source, str):
         try:
             data = json.loads(source)
@@ -264,12 +271,12 @@ def import_encoding(source: str | dict) -> VoltageEncoding:
     if not isinstance(data, dict):
         raise ValueError("encoding JSON must be an object")
     try:
-        k = int(data["k"])
+        k = _integer(data["k"], "k")
         stored = _symbol_table(data["stored"], "stored")
         search = _symbol_table(data["search"], "search")
-        vth = tuple(tuple(int(v) for v in entry) for entry in stored)
-        vgs = tuple(tuple(int(v) for v in entry["vgs"]) for entry in search)
-        vds = tuple(tuple(int(v) for v in entry["vds"]) for entry in search)
+        vth = tuple(tuple(_integer(v, "a threshold rank") for v in e) for e in stored)
+        vgs = tuple(tuple(_integer(v, "a gate rank") for v in e["vgs"]) for e in search)
+        vds = tuple(tuple(_integer(v, "a drain multiple") for v in e["vds"]) for e in search)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"encoding JSON is missing required structure: {exc}") from exc
     return VoltageEncoding(k, vth, vgs, vds)

@@ -16,12 +16,11 @@ MAX_BITS = 8
 
 
 class MetricKind(str, enum.Enum):
-    """Built-in per-symbol distance functions, plus user-supplied tables."""
+    """Built-in per-symbol distance functions (custom tables come from CSV)."""
 
     HAMMING = "hamming"
     MANHATTAN = "manhattan"
     SQ_EUCLIDEAN = "sq_euclidean"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
@@ -30,14 +29,11 @@ class DistanceSpec:
 
     kind: MetricKind
     bits: int
-    custom_source: str | Path | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", MetricKind(self.kind))
         if self.bits < 1:
             raise ValueError("bits must be >= 1")
-        if (self.kind is MetricKind.CUSTOM) != (self.custom_source is not None):
-            raise ValueError("custom_source is required exactly when kind='custom'")
 
 
 @dataclass(frozen=True)
@@ -69,18 +65,6 @@ class DistanceMatrix:
     def max_entry(self) -> int:
         return max(max(row) for row in self.entries)
 
-    def is_symmetric(self) -> bool:
-        if self.m != self.n:
-            return False
-        return all(
-            self.entries[s][t] == self.entries[t][s]
-            for s in range(self.m)
-            for t in range(self.n)
-        )
-
-    def row(self, s: int) -> tuple[int, ...]:
-        return self.entries[s]
-
 
 def _hamming(s: int, t: int) -> int:
     return bin(s ^ t).count("1")
@@ -107,8 +91,6 @@ def build_dm(spec: DistanceSpec) -> DistanceMatrix:
     Symbols are unsigned integer readings of the bit strings; rows and
     columns are in ascending numeric order.
     """
-    if spec.kind is MetricKind.CUSTOM:
-        raise ValueError("custom distance matrices are loaded from file, not built")
     if spec.bits > MAX_BITS:
         raise ValueError(f"bits must be <= {MAX_BITS} (matrix would not fit memory)")
     size = 1 << spec.bits

@@ -30,7 +30,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .metric import DistanceMatrix
 
@@ -66,9 +66,6 @@ class CurrentRange:
     @property
     def max_multiple(self) -> int:
         return self.multiples[-1]
-
-    def __contains__(self, value: int) -> bool:
-        return value in self.multiples
 
     @classmethod
     def parse(cls, text: str) -> "CurrentRange":
@@ -211,17 +208,6 @@ class GlobalAssignment:
     def k(self) -> int:
         return self.rows[0].k
 
-    def currents(self, s: int, t: int) -> tuple[int, ...]:
-        return self.rows[s].tuples[t]
-
-    def validate_chains(self) -> None:
-        """Check that each branch's per-row on-sets nest into a chain."""
-        for i in range(self.k):
-            sets = sorted({r.on_sets[i] for r in self.rows}, key=len)
-            for a, b in zip(sets, sets[1:]):
-                if not a < b:
-                    raise ValueError(f"branch {i} on-sets do not form an inclusion chain")
-
 
 def backtrack_row(
     column_tuple_sets: Sequence[Sequence[tuple[int, ...]]],
@@ -309,18 +295,6 @@ def backtrack_row(
     return tuple(results)
 
 
-def arcs_consistent(a: RowAssignment, b: RowAssignment) -> bool:
-    """True when the two rows can share one threshold ordering per branch.
-
-    For every branch the on-sets of the two rows must be comparable under
-    set inclusion; an incomparable pair would demand contradictory stored
-    threshold orderings.
-    """
-    if a.k != b.k or a.columns != b.columns:
-        raise ValueError("row assignments have mismatched shapes")
-    return all(x & y in (x, y) for x, y in zip(a.masks, b.masks))
-
-
 def _bitset(positions: Iterable[int], size: int) -> int:
     """The int with exactly the given bit positions (all below size) set."""
     bits = bytearray((size + 7) >> 3)
@@ -384,8 +358,8 @@ class FeasibleRegion:
 
     domains: tuple[tuple[RowAssignment, ...], ...]
     feasible: bool
-    # ac3's input domains, its support index over them and each row's live
-    # bitset, so that extraction goes on from there instead of re-indexing
+    # when feasible: ac3's input domains, its support index over them and
+    # each row's live bitset, which extraction goes on from
     _support: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
@@ -397,66 +371,55 @@ def ac3(searchlines: Sequence[Sequence[RowAssignment]]) -> FeasibleRegion:
     """Prune row domains to pairwise-supported assignments.
 
     Textbook AC-3: FIFO queue over directed arcs, re-enqueueing neighbor
-    arcs whenever a domain is revised. Each row keeps a live bitset over
-    its domain positions. Consistency depends on the branch masks alone, so
-    revising arc (i, j) keeps each distinct mask signature of row i whose
-    support in row j, from the support index, meets row j's live bitset.
-    Domain order is preserved so later extraction is deterministic.
-    Feasible is False as soon as any domain empties; a pass here is
-    necessary but not sufficient for a global solution.
+    arcs whenever a domain is revised. Each row keeps its live domain
+    positions, in order, and the same positions as a bitset; revising arc
+    (i, j) keeps each live position of row i whose support in row j, from
+    the support index, meets row j's live bitset. Domain order is
+    preserved so later extraction is deterministic. Feasible is False as
+    soon as any domain empties; a pass here is necessary but not
+    sufficient for a global solution.
     """
     domains = [tuple(d) for d in searchlines]
     if any(not d for d in domains):
         return FeasibleRegion(tuple(domains), False)
     m = len(domains)
-    index = _SupportIndex([[a.masks for a in d] for d in domains])
-    # per row: each live signature with the domain positions holding it
-    kept: list[list[tuple[tuple[int, ...], list[int]]]] = []
-    for d in domains:
-        positions: dict[tuple[int, ...], list[int]] = {}
-        for p, a in enumerate(d):
-            positions.setdefault(a.masks, []).append(p)
-        kept.append(list(positions.items()))
+    masks = [[a.masks for a in d] for d in domains]
+    index = _SupportIndex(masks)
+    kept = [list(range(len(d))) for d in domains]
     live = [(1 << len(d)) - 1 for d in domains]
-
-    def region(feasible: bool) -> FeasibleRegion:
-        pruned = []
-        for d, signatures in zip(domains, kept):
-            keep = {x for x, _ in signatures}
-            pruned.append(tuple(a for a in d if a.masks in keep))
-        support = (domains, index, live) if feasible else None
-        return FeasibleRegion(tuple(pruned), feasible, support)
 
     queue = deque((i, j) for i in range(m) for j in range(m) if i != j)
     while queue:
         i, j = queue.popleft()
-        theirs = live[j]
-        still = [(x, ps) for x, ps in kept[i] if index.support(j, x, theirs)]
+        theirs, row = live[j], masks[i]
+        still = [p for p in kept[i] if index.support(j, row[p], theirs)]
         if len(still) != len(kept[i]):
             kept[i] = still
-            live[i] = _bitset((p for _, ps in still for p in ps), len(domains[i]))
             if not still:
-                return region(False)
+                break
+            live[i] = _bitset(still, len(domains[i]))
             queue.extend((l, i) for l in range(m) if l != i and l != j)
-    return region(True)
+    feasible = all(kept)
+    pruned = tuple(tuple(d[p] for p in ps) for d, ps in zip(domains, kept))
+    return FeasibleRegion(pruned, feasible, (domains, index, live) if feasible else None)
 
 
-def _forward_check(
-    domains: Sequence[Sequence[RowAssignment]], index: _SupportIndex, allowed: list[int]
-) -> Iterator[GlobalAssignment]:
-    """Picks of one allowed position per row, jointly consistent, in position order.
+def extract_solution(region: FeasibleRegion) -> Optional[GlobalAssignment]:
+    """First globally consistent assignment from a pruned region, or None.
 
-    Each pick ANDs its support into the allowed bitset of every later row,
-    a pick that empties one is skipped, and a row's candidates are visited
-    lowest position first.
+    Forward checking from where ac3 stopped: each pick ANDs its support into
+    the live bitset of every later row, a pick that empties one is skipped,
+    and a row's candidates are visited lowest position first.
     """
+    if not region.feasible:
+        return None
+    domains, index, live = region._support
     m = len(domains)
     chosen: list[RowAssignment] = []
 
-    def dfs(row: int, allowed: list[int]) -> Iterator[GlobalAssignment]:
+    def dfs(row: int, allowed: list[int]) -> bool:
         if row == m:
-            yield GlobalAssignment(tuple(chosen))
-            return
+            return True
         candidates = allowed[0]
         while candidates:
             low = candidates & -candidates
@@ -470,33 +433,12 @@ def _forward_check(
                 later.append(bits)
             else:
                 chosen.append(a)
-                yield from dfs(row + 1, later)
+                if dfs(row + 1, later):
+                    return True
                 chosen.pop()
+        return False
 
-    return dfs(0, allowed)
-
-
-def iter_global_assignments(
-    domains: Sequence[Sequence[RowAssignment]],
-) -> Iterator[GlobalAssignment]:
-    """Depth-first enumeration of jointly consistent row picks, in domain order.
-
-    Forward checking over a support index of the domains.
-    """
-    doms = [tuple(d) for d in domains]
-    if not doms or any(not d for d in doms):
-        return iter(())
-    index = _SupportIndex([[a.masks for a in d] for d in doms])
-    return _forward_check(doms, index, [(1 << len(d)) - 1 for d in doms])
-
-
-def extract_solution(region: FeasibleRegion) -> Optional[GlobalAssignment]:
-    """First globally consistent assignment from a pruned region, or None."""
-    if not region.feasible:
-        return None
-    if region._support is None:
-        return next(iter_global_assignments(region.domains), None)
-    return next(_forward_check(*region._support), None)
+    return GlobalAssignment(tuple(chosen)) if dfs(0, live) else None
 
 
 @dataclass(frozen=True)
@@ -661,8 +603,6 @@ def brute_force_feasible(
     dm: DistanceMatrix,
     k: int,
     cr: CurrentRange = DEFAULT_CURRENT_RANGE,
-    cell_budget: int = ORACLE_CELL_BUDGET,
-    pattern_budget: int = ORACLE_PATTERN_BUDGET,
     return_witness: bool = False,
 ):
     """Exhaustively test whether k branches can reproduce the matrix exactly.
@@ -675,13 +615,13 @@ def brute_force_feasible(
     if k < 1:
         raise ValueError("k must be >= 1")
     m, n = dm.m, dm.n
-    if m * n * k > cell_budget:
+    if m * n * k > ORACLE_CELL_BUDGET:
         raise BudgetExceededError(
-            f"oracle instance {m}x{n}x{k} exceeds cell budget {cell_budget}"
+            f"oracle instance {m}x{n}x{k} exceeds cell budget {ORACLE_CELL_BUDGET}"
         )
-    if n**n * (n + 1) ** m > pattern_budget:
+    if n**n * (n + 1) ** m > ORACLE_PATTERN_BUDGET:
         raise BudgetExceededError(
-            f"oracle rank enumeration for {m}x{n} exceeds pattern budget {pattern_budget}"
+            f"oracle rank enumeration for {m}x{n} exceeds pattern budget {ORACLE_PATTERN_BUDGET}"
         )
 
     target = tuple(v for row in dm.entries for v in row)

@@ -389,3 +389,75 @@ def test_simulate_rejects_saturating_ladder(tmp_path, compiled_encoding_file, ca
                 "--stored", str(stored), "--queries", str(queries),
                 "--unit-vds", "10", "--resistance", "1e5"]) == EXIT_ERROR
     assert "saturates" in capsys.readouterr().err
+
+
+HAMMING_GRID = "0,1,1,2\n1,0,2,1\n1,2,0,1\n2,1,1,0\n"
+
+
+@pytest.mark.parametrize("pipeline", ["knn", "hdc"])
+def test_bench_custom_grid_matches_builtin_metric(tmp_path, pipeline):
+    grid = tmp_path / "hamming.csv"
+    grid.write_text(HAMMING_GRID)
+    common = ["bench", "--pipeline", pipeline, "--dataset", "synthetic",
+              "--train-size", "40", "--test-size", "12", "--dimension", "64",
+              "--k-max", "4"]
+    builtin, custom = tmp_path / "builtin.csv", tmp_path / "custom.csv"
+    assert run([*common, "--metric", "hamming", "--predictions", str(builtin)]) == EXIT_OK
+    assert run([*common, "--custom", str(grid), "--predictions", str(custom)]) == EXIT_OK
+    assert custom.read_bytes() == builtin.read_bytes()
+
+
+def test_bench_custom_replaces_metric(tmp_path, capsys):
+    # --custom wins over --metric, as everywhere else: a 2x2 table cannot
+    # hold the four symbols of a 2-bit quantizer
+    small = tmp_path / "small.csv"
+    small.write_text("0,1\n1,0\n")
+    code = run(["bench", "--pipeline", "knn", "--dataset", "synthetic",
+                "--train-size", "20", "--test-size", "5",
+                "--custom", str(small), "--metric", "hamming"])
+    assert code == EXIT_ERROR
+    assert "stored symbols must lie in [0, n)" in capsys.readouterr().err
+
+
+def _non_integer_encodings(golden_encoding):
+    """The golden encoding with one value replaced by a float or a string that truncates to it."""
+    from dmcam.encoder import export_encoding
+
+    for where in ("k", "stored", "vds"):
+        data = json.loads(export_encoding(golden_encoding))
+        if where == "k":
+            data["k"] += 0.9
+        elif where == "stored":
+            data["stored"]["0"][0] += 0.7
+        else:
+            data["search"]["0"]["vds"][0] = str(data["search"]["0"]["vds"][0])
+        yield where, data
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_encoding_with_non_integer_values_is_rejected(tmp_path, golden_encoding, capsys, command):
+    stored, queries = tmp_path / "stored.csv", tmp_path / "queries.csv"
+    _write_symbol_csv(stored, [[0, 1], [3, 2]])
+    _write_symbol_csv(queries, [[0, 1]])
+    for where, data in _non_integer_encodings(golden_encoding):
+        enc = tmp_path / f"{where}.json"
+        enc.write_text(json.dumps(data))
+        if command == "simulate":
+            argv = ["simulate", "--encoding", str(enc), "--stored", str(stored),
+                    "--queries", str(queries)]
+        else:
+            argv = ["verify", "--metric", "hamming", "--bits", "2", "--encoding", str(enc)]
+        assert run(argv) == EXIT_ERROR, where
+        assert "must be an integer" in capsys.readouterr().err
+
+
+def test_bench_rejects_fractional_csv_labels(tmp_path, capsys):
+    train = tmp_path / "train.csv"
+    test = tmp_path / "test.csv"
+    train.write_text("0.0,1.0,0\n0.2,0.5,0.5\n1.0,0.0,1.9\n0.5,0.5,0\n")
+    test.write_text("0.1,0.9,0\n0.9,0.1,1\n")
+    code = run(["bench", "--pipeline", "knn", "--dataset", "csv",
+                "--train-csv", str(train), "--test-csv", str(test),
+                "--metric", "hamming", "--bits", "2"])
+    assert code == EXIT_ERROR
+    assert "train labels must be integers" in capsys.readouterr().err

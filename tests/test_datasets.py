@@ -92,7 +92,8 @@ def test_csv_dataset(tmp_path):
     test = tmp_path / "test.csv"
     train.write_text("# f1,f2,label\n0.0,1.0,0\n1.0,0.0,1\n")
     test.write_text("0.1,0.9,0\n")
-    ds = load_csv_dataset(train, test, name="toy")
+    ds = load_csv_dataset(train, test)
+    assert ds.name == "csv"
     assert ds.feature_count == 2
     assert ds.class_count == 2
     assert list(ds.test_y) == [0]
@@ -103,6 +104,26 @@ def test_csv_dataset_empty(tmp_path):
     empty.write_text("# nothing\n")
     with pytest.raises(ValueError):
         load_csv_dataset(empty, empty)
+
+
+def test_csv_dataset_rejects_fractional_labels(tmp_path):
+    train = tmp_path / "train.csv"
+    test = tmp_path / "test.csv"
+    train.write_text("0.0,1.0,0.5\n1.0,0.0,1.9\n")
+    test.write_text("0.1,0.9,0\n")
+    with pytest.raises(ValueError, match="train labels must be integers"):
+        load_csv_dataset(train, test)
+    train.write_text("0.0,1.0,0.0\n1.0,0.0,1.0\n")  # integral floats are labels
+    assert list(load_csv_dataset(train, test).train_y) == [0, 1]
+
+
+def test_dataset_rejects_non_integral_labels():
+    x = np.zeros((2, 3))
+    y = np.array([0, 1])
+    for bad in ([0.5, 1.0], [0.0, np.nan], [0.0, np.inf]):
+        with pytest.raises(ValueError, match="test labels must be integers"):
+            Dataset("bad", x, y, x, np.array(bad))
+    assert Dataset("ok", x, y, x, np.array([1.0, 0.0])).test_y.dtype == np.int64
 
 
 def test_dataset_validation():

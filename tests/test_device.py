@@ -4,35 +4,35 @@ import pytest
 from dmcam.device import VariationParams, conduct, sample_variation
 
 
-VTH, RES, ISAT = 0.5, 1e6, 10e-6
+VTH, RES = 0.5, 1e6
 
 
 def test_conduct_ohmic_branch():
-    assert conduct(0.7, 0.1, VTH, RES, ISAT) == pytest.approx(100e-9)
+    assert conduct(0.7, 0.1, VTH, RES) == pytest.approx(100e-9)
 
 
 def test_conduct_cutoff():
-    assert conduct(0.3, 0.1, VTH, RES, ISAT) == 0.0
+    assert conduct(0.3, 0.1, VTH, RES) == 0.0
 
 
 def test_conduct_at_threshold_is_off():
-    assert conduct(0.5, 0.1, VTH, RES, ISAT) == 0.0
+    assert conduct(0.5, 0.1, VTH, RES) == 0.0
 
 
 def test_double_drain_voltage_doubles_current_exactly():
-    assert conduct(0.7, 0.2, VTH, RES, ISAT) == 2 * conduct(0.7, 0.1, VTH, RES, ISAT)
+    assert conduct(0.7, 0.2, VTH, RES) == 2 * conduct(0.7, 0.1, VTH, RES)
 
 
 def test_saturation_caps_current():
     # vds/R would be 100 uA; the ceiling wins
-    assert conduct(0.7, 0.1, VTH, 1e3, ISAT) == 10e-6
+    assert conduct(0.7, 0.1, VTH, 1e3) == 10e-6
 
 
 def test_conduct_rejects_negative_vds():
     with pytest.raises(ValueError):
-        conduct(0.7, -0.1, VTH, RES, ISAT)
+        conduct(0.7, -0.1, VTH, RES)
     with pytest.raises(ValueError):
-        conduct(0.7, np.array([0.1, -0.1]), VTH, RES, ISAT)
+        conduct(0.7, np.array([0.1, -0.1]), VTH, RES)
 
 
 def test_default_ladder_currents_are_exact_unit_multiples():
@@ -45,13 +45,13 @@ def test_default_ladder_currents_are_exact_unit_multiples():
 
 
 def test_conduct_monotone_in_vds():
-    currents = conduct(0.9, np.linspace(0.0, 20.0, 50), VTH, RES, ISAT)
+    currents = conduct(0.9, np.linspace(0.0, 20.0, 50), VTH, RES)
     assert np.all(np.diff(currents) >= 0)
 
 
 def test_conduct_piecewise_constant_in_vgs():
-    below = set(conduct(np.linspace(0.0, 0.5, 20), 0.1, VTH, RES, ISAT))
-    above = set(conduct(np.linspace(0.51, 2.0, 20), 0.1, VTH, RES, ISAT))
+    below = set(conduct(np.linspace(0.0, 0.5, 20), 0.1, VTH, RES))
+    above = set(conduct(np.linspace(0.51, 2.0, 20), 0.1, VTH, RES))
     assert below == {0.0}
     assert len(above) == 1
 

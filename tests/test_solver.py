@@ -10,13 +10,11 @@ from dmcam.solver import (
     GlobalAssignment,
     RowAssignment,
     ac3,
-    arcs_consistent,
     backtrack_row,
     brute_force_feasible,
     decompose_dm,
     extract_solution,
     find_min_k,
-    iter_global_assignments,
     probe_k_range,
     solve_fixed_k,
 )
@@ -105,7 +103,7 @@ def test_row_assignment_derived_fields():
 
 def test_backtrack_row_contains_published_pattern(hamming_dm):
     # search row "11" of the 2-bit Hamming matrix with a 3-branch cell
-    row = hamming_dm.row(0b11)
+    row = hamming_dm.entries[0b11]
     sets = [decompose_dm(3, v, CR012) for v in row]
     assignments = backtrack_row(sets)
     wanted = RowAssignment(((0, 0, 2), (0, 1, 0), (1, 0, 0), (0, 0, 0)))
@@ -124,7 +122,7 @@ def test_backtrack_row_single_column_accepts_everything():
 
 def test_backtrack_row_outputs_satisfy_per_branch_rule(hamming_dm):
     for s in range(hamming_dm.m):
-        sets = [decompose_dm(3, v, CR012) for v in hamming_dm.row(s)]
+        sets = [decompose_dm(3, v, CR012) for v in hamming_dm.entries[s]]
         for a in backtrack_row(sets):
             for i in range(a.k):
                 nonzero = {a.tuples[c][i] for c in range(a.columns) if a.tuples[c][i]}
@@ -137,7 +135,7 @@ def test_backtrack_row_budget():
         backtrack_row(sets, budget=10)
 
 
-# -- pairwise consistency -------------------------------------------------------
+# -- ac3 and extraction -----------------------------------------------------------
 
 
 def _row_from_on_sets(on_sets, columns, value=1):
@@ -148,31 +146,23 @@ def _row_from_on_sets(on_sets, columns, value=1):
     )
 
 
-def test_arcs_conflict_between_disjoint_on_sets():
-    a = _row_from_on_sets([{0}], columns=2)
-    b = _row_from_on_sets([{1}], columns=2)
-    assert not arcs_consistent(a, b)
+def _global_picks(domains):
+    """Every pick of one row per domain whose on-sets nest pairwise.
 
+    On-sets are recomputed from the current tuples as frozensets, so this
+    shares no code with the solver's masks.
+    """
 
-def test_arcs_all_zero_row_is_compatible():
-    a = _row_from_on_sets([set()], columns=2)
-    b = _row_from_on_sets([{1}], columns=2)
-    assert arcs_consistent(a, b)
+    def on_sets(row):
+        return [frozenset(c for c, t in enumerate(row.tuples) if t[i]) for i in range(row.k)]
 
+    def nest(a, b):
+        return all(x <= y or y <= x for x, y in zip(on_sets(a), on_sets(b)))
 
-def test_arcs_reflexive():
-    a = _row_from_on_sets([{0, 1}], columns=3)
-    assert arcs_consistent(a, a)
-
-
-def test_arcs_shape_mismatch():
-    a = _row_from_on_sets([{0}], columns=2)
-    b = _row_from_on_sets([{0}], columns=3)
-    with pytest.raises(ValueError):
-        arcs_consistent(a, b)
-
-
-# -- ac3 and extraction -----------------------------------------------------------
+    picks = [()]
+    for domain in domains:
+        picks = [p + (a,) for p in picks for a in domain if all(nest(a, b) for b in p)]
+    return set(picks)
 
 
 def test_ac3_hamming_k3_feasible(hamming_dm):
@@ -217,23 +207,24 @@ def test_extract_none_when_ac3_passes_but_no_global_pick():
     assert region.domain_sizes == (2, 2, 2)
     assert extract_solution(region) is None
     # brute-force confirmation on the raw domains
-    assert list(iter_global_assignments(domains)) == []
+    assert _global_picks(domains) == set()
 
 
 def test_extracted_solution_chains_validate(hamming_dm):
+    # per branch, the rows' on-sets nest into an inclusion chain
     out = solve_fixed_k(hamming_dm, 3, CR012)
-    out.assignment.validate_chains()
+    for i in range(out.assignment.k):
+        chain = sorted({r.on_sets[i] for r in out.assignment.rows}, key=len)
+        assert all(a < b for a, b in zip(chain, chain[1:]))
 
 
 def test_ac3_pruning_is_sound(hamming_dm):
     # The assignments surviving AC-3 support exactly the same global
     # solutions as the unpruned domains.
-    sets = [[decompose_dm(3, v, CR012) for v in hamming_dm.row(s)] for s in range(4)]
+    sets = [[decompose_dm(3, v, CR012) for v in hamming_dm.entries[s]] for s in range(4)]
     lines = [backtrack_row(s) for s in sets]
     region = ac3(lines)
-    with_pruning = {g.rows for g in iter_global_assignments(region.domains)}
-    without = {g.rows for g in iter_global_assignments(lines)}
-    assert with_pruning == without
+    assert _global_picks(region.domains) == _global_picks(lines)
 
 
 def test_ac3_pruning_sound_on_random_instances():
@@ -241,16 +232,14 @@ def test_ac3_pruning_sound_on_random_instances():
     for _ in range(20):
         m, n = int(rng.integers(2, 4)), int(rng.integers(2, 4))
         dm = DistanceMatrix(tuple(tuple(int(v) for v in row) for row in rng.integers(0, 3, (m, n))))
-        sets = [[decompose_dm(2, v, CR012) for v in dm.row(s)] for s in range(m)]
+        sets = [[decompose_dm(2, v, CR012) for v in dm.entries[s]] for s in range(m)]
         if any(not cs for row in sets for cs in row):
             continue
         lines = [backtrack_row(s) for s in sets]
         if any(not l for l in lines):
             continue
         region = ac3(lines)
-        with_pruning = {g.rows for g in iter_global_assignments(region.domains)}
-        without = {g.rows for g in iter_global_assignments(lines)}
-        assert with_pruning == without
+        assert _global_picks(region.domains) == _global_picks(lines)
 
 
 # -- minimal k ---------------------------------------------------------------------

@@ -6,7 +6,6 @@ frozensets, so a mask bit left stale by the search shows up as a mismatch.
 
 import types
 from collections import deque
-from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,11 +17,9 @@ from dmcam.solver import (
     CurrentRange,
     RowAssignment,
     ac3,
-    arcs_consistent,
     backtrack_row,
     decompose_dm,
     extract_solution,
-    iter_global_assignments,
 )
 
 
@@ -62,7 +59,8 @@ def row_pairs(draw):
 def test_mask_views_equal_frozenset_definitions(pair):
     a, b = pair
     assert a.on_sets == _on_sets(a)
-    assert arcs_consistent(a, b) == _nest(a, b) == arcs_consistent(b, a)
+    # two one-assignment rows are arc consistent exactly when their masks nest
+    assert ac3([[a], [b]]).feasible == _nest(a, b) == ac3([[b], [a]]).feasible
 
 
 @st.composite
@@ -123,12 +121,9 @@ def test_ac3_and_extraction_equal_naive_frozenset_search(domains):
     region = ac3(domains)
     assert region.feasible == naive_feasible
     assert region.domains == tuple(tuple(d) for d in naive_domains)
-    first = 1000  # a one-column draw can nest all 30**4 picks: compare the first ones, in order
-    expected = list(islice(_naive_picks(domains), first))
-    got = iter_global_assignments(domains)
-    assert [tuple(r.tuples for r in ga.rows) for ga in islice(got, first)] == expected
+    expected = next(_naive_picks(domains), None)
     ga = extract_solution(region)
-    assert ([tuple(r.tuples for r in ga.rows)] if ga else []) == expected[:1]
+    assert (tuple(r.tuples for r in ga.rows) if ga else None) == expected
 
 
 def _naive_rows(sets):
@@ -195,6 +190,5 @@ def test_oracle_shares_no_code_with_the_solver_pipeline():
                solver._branch_patterns.__wrapped__):
         oracle |= _names(fn.__code__)
     pipeline = {"RowAssignment", "_SupportIndex", "_bitset", "backtrack_row", "ac3",
-                "arcs_consistent", "_forward_check", "iter_global_assignments",
                 "extract_solution", "decompose_dm", "solve_fixed_k", "masks"}
     assert not oracle & pipeline
