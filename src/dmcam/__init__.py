@@ -6,7 +6,6 @@ from .metric import DistanceMatrix, DistanceSpec, MetricKind, build_dm, load_cus
 from .solver import (
     BudgetExceededError,
     CurrentRange,
-    DEFAULT_CURRENT_RANGE,
     FeasibleRegion,
     GlobalAssignment,
     RowAssignment,

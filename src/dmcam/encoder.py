@@ -10,11 +10,10 @@ branches of a cell this must reproduce the compiled distance entry.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 
-from .metric import DistanceMatrix
+from .metric import DistanceMatrix, as_integer
 from .solver import GlobalAssignment
 
 
@@ -91,27 +90,27 @@ def derive_encoding(ga: GlobalAssignment) -> VoltageEncoding:
     vds = [[1] * k for _ in range(m)]
 
     for i in range(k):
-        sets = [r.on_sets[i] for r in rows]
-        chain = sorted(set(sets), key=len)
+        masks = [r.masks[i] for r in rows]
+        chain = sorted(set(masks), key=int.bit_count)
         for a, b in zip(chain, chain[1:]):
-            if not a < b:
+            if a & ~b:
                 raise RuntimeError(
                     f"branch {i}: on-sets are not an inclusion chain; "
                     "the assignment violates the threshold-ordering rule"
                 )
-        has_empty = len(chain[0]) == 0
+        has_empty = chain[0] == 0
         # Gate ranks count how many distinct threshold levels a row beats.
         # When no row leaves the branch fully off, rank 0 is simply unused.
-        gate_rank = {s_: idx + (0 if has_empty else 1) for idx, s_ in enumerate(chain)}
+        gate_rank = {mask: idx + (0 if has_empty else 1) for idx, mask in enumerate(chain)}
         never_rank = len(chain) - 1 if has_empty else len(chain)
         for t in range(n):
-            first = next((idx for idx, s_ in enumerate(chain) if t in s_), None)
+            first = next((idx for idx, mask in enumerate(chain) if mask >> t & 1), None)
             if first is None:
                 vth[t][i] = never_rank
             else:
                 vth[t][i] = first - 1 if has_empty else first
         for s in range(m):
-            vgs[s][i] = gate_rank[sets[s]]
+            vgs[s][i] = gate_rank[masks[s]]
             if rows[s].fet_values[i]:
                 vds[s][i] = rows[s].fet_values[i]
 
@@ -124,7 +123,7 @@ def derive_encoding(ga: GlobalAssignment) -> VoltageEncoding:
     for s in range(m):
         for t in range(n):
             for i in range(k):
-                if enc.is_on(s, t, i) != (rows[s].tuples[t][i] != 0):
+                if enc.is_on(s, t, i) != (rows[s].masks[i] >> t & 1):
                     raise RuntimeError(
                         "derived ranks fail to reproduce the on/off pattern "
                         f"at search {s}, store {t}, branch {i}"
@@ -247,14 +246,6 @@ def _symbol_table(section: dict, what: str) -> list:
     return [section[key] for key in keys]
 
 
-def _integer(value, what: str) -> int:
-    """value as an int; a float, a string or any other non-integer raises ValueError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
-
-
 def import_encoding(source: str | dict) -> VoltageEncoding:
     """Parse the JSON schema back into an encoding, validating ranks.
 
@@ -271,12 +262,12 @@ def import_encoding(source: str | dict) -> VoltageEncoding:
     if not isinstance(data, dict):
         raise ValueError("encoding JSON must be an object")
     try:
-        k = _integer(data["k"], "k")
+        k = as_integer(data["k"], "k")
         stored = _symbol_table(data["stored"], "stored")
         search = _symbol_table(data["search"], "search")
-        vth = tuple(tuple(_integer(v, "a threshold rank") for v in e) for e in stored)
-        vgs = tuple(tuple(_integer(v, "a gate rank") for v in e["vgs"]) for e in search)
-        vds = tuple(tuple(_integer(v, "a drain multiple") for v in e["vds"]) for e in search)
+        vth = tuple(tuple(as_integer(v, "a threshold rank") for v in e) for e in stored)
+        vgs = tuple(tuple(as_integer(v, "a gate rank") for v in e["vgs"]) for e in search)
+        vds = tuple(tuple(as_integer(v, "a drain multiple") for v in e["vds"]) for e in search)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"encoding JSON is missing required structure: {exc}") from exc
     return VoltageEncoding(k, vth, vgs, vds)

@@ -15,6 +15,16 @@ from pathlib import Path
 MAX_BITS = 8
 
 
+def as_integer(value, what: str) -> int:
+    """value as an int; a bool, a float, a string or any other non-integer raises ValueError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 class MetricKind(str, enum.Enum):
     """Built-in per-symbol distance functions (custom tables come from CSV)."""
 
@@ -43,7 +53,7 @@ class DistanceMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(operator.index(v) for v in row) for row in self.entries)
+        rows = tuple(tuple(as_integer(v, "a distance") for v in row) for row in self.entries)
         object.__setattr__(self, "entries", rows)
         if not rows or not rows[0]:
             raise ValueError("distance matrix must have at least one entry")

@@ -32,7 +32,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
-from .metric import DistanceMatrix
+from .metric import DistanceMatrix, as_integer
 
 DEFAULT_NODE_BUDGET = 1_000_000
 ORACLE_CELL_BUDGET = 512        # bound on m*n*k
@@ -50,7 +50,7 @@ class CurrentRange:
     multiples: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        ms = tuple(int(v) for v in self.multiples)
+        ms = tuple(as_integer(v, "a current multiple") for v in self.multiples)
         object.__setattr__(self, "multiples", ms)
         if not ms or ms[0] != 0:
             raise ValueError("current range must contain 0 as its first multiple")
@@ -75,9 +75,6 @@ class CurrentRange:
     def covering(cls, max_entry: int) -> "CurrentRange":
         """Contiguous range 0..max(max_entry, 1)."""
         return cls(tuple(range(max(int(max_entry), 1) + 1)))
-
-
-DEFAULT_CURRENT_RANGE = CurrentRange((0, 1, 2))
 
 
 def decompose_dm(
@@ -127,12 +124,14 @@ class RowAssignment:
     """One current tuple per stored column, for a single search row.
 
     Construction enforces the per-row rule: each branch has at most one
-    distinct nonzero multiple across the stored columns. Branch i's on-set
-    is kept as the int column mask ``masks[i]`` (bit c set when column c
-    conducts); ``on_sets`` is the same information as frozensets.
+    distinct nonzero multiple across the stored columns. An assignment is
+    stored as its column count, branch i's int column mask ``masks[i]``
+    (bit c set when column c conducts) and branch i's on-current
+    ``fet_values[i]`` (0 when it never conducts); ``tuples`` derives the
+    per-column current tuples from those on demand.
     """
 
-    __slots__ = ("tuples", "masks", "fet_values", "_hash")
+    __slots__ = ("columns", "masks", "fet_values")
 
     def __init__(self, tuples: Iterable[Sequence[int]]):
         tt = tuple(tuple(int(v) for v in t) for t in tuples)
@@ -152,39 +151,34 @@ class RowAssignment:
                 )
             masks.append(sum(1 << c for c in cols))
             values.append(next(iter(vals)) if vals else 0)
-        self._set(tt, tuple(masks), tuple(values))
-
-    def _set(self, tuples, masks, fet_values) -> None:
-        self.tuples = tuples
-        self.masks = masks
-        self.fet_values = fet_values
-        self._hash = hash(tuples)
+        self.columns, self.masks, self.fet_values = len(tt), tuple(masks), tuple(values)
 
     @classmethod
-    def _checked(cls, tuples, masks, fet_values) -> "RowAssignment":
+    def _checked(cls, columns, masks, fet_values) -> "RowAssignment":
         """An assignment whose masks and values the caller already derived."""
         row = object.__new__(cls)
-        row._set(tuples, masks, fet_values)
+        row.columns, row.masks, row.fet_values = columns, masks, fet_values
         return row
 
     @property
-    def on_sets(self) -> tuple[frozenset[int], ...]:
-        cols = range(len(self.tuples))
-        return tuple(frozenset(c for c in cols if mask >> c & 1) for mask in self.masks)
+    def tuples(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(
+            tuple(v if mask >> c & 1 else 0 for mask, v in zip(self.masks, self.fet_values))
+            for c in range(self.columns)
+        )
 
     @property
     def k(self) -> int:
-        return len(self.tuples[0])
+        return len(self.masks)
 
-    @property
-    def columns(self) -> int:
-        return len(self.tuples)
+    def _key(self) -> tuple:
+        return self.columns, self.masks, self.fet_values
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, RowAssignment) and self.tuples == other.tuples
+        return isinstance(other, RowAssignment) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"RowAssignment({self.tuples!r})"
@@ -230,44 +224,39 @@ def backtrack_row(
     if not sets or any(not s for s in sets):
         return ()
     k = len(sets[0][0])
-    # per column: (tuple, its nonzero (branch, current) pairs)
+    # per column and tuple: its nonzero (branch, current) pairs, and the
+    # adjacent branch pairs (bit i for branches i, i+1) it orders ascending
+    # and those it orders descending
     options = [
-        [(tup, tuple((i, v) for i, v in enumerate(tup) if v != 0)) for tup in col]
+        [
+            (
+                tuple((i, v) for i, v in enumerate(tup) if v != 0),
+                sum(1 << i for i in range(k - 1) if tup[i] < tup[i + 1]),
+                sum(1 << i for i in range(k - 1) if tup[i] > tup[i + 1]),
+            )
+            for tup in col
+        ]
         for col in sets
     ]
-    # per tuple: the adjacent branch pairs (bit i for branches i, i+1) it
-    # orders ascending and those it orders descending
-    order = {
-        tup: (
-            sum(1 << i for i in range(k - 1) if tup[i] < tup[i + 1]),
-            sum(1 << i for i in range(k - 1) if tup[i] > tup[i + 1]),
-        )
-        for col in (sets if canonical else ())
-        for tup in col
-    }
     results: list[RowAssignment] = []
     values = [0] * k
     masks = [0] * k
-    choice: list[tuple[int, ...]] = []
     nodes = 0
-    last = len(options) - 1
+    columns = len(options)
+    last = columns - 1
 
     def dfs(col: int, tied: int) -> None:
         # tied: adjacent branch pairs whose vectors are equal so far
         nonlocal nodes
         bit = 1 << col
-        for tup, on in options[col]:
+        for on, ascending, descending in options[col]:
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError(
                     f"row enumeration exceeded {budget} nodes; raise the budget to continue"
                 )
-            ties = tied
-            if ties:
-                ascending, descending = order[tup]
-                if ties & descending:
-                    continue
-                ties &= ~ascending
+            if tied & descending:
+                continue
             changed = []
             for i, v in on:
                 if values[i] == 0:
@@ -278,14 +267,12 @@ def backtrack_row(
             else:
                 for i, _ in on:
                     masks[i] |= bit
-                choice.append(tup)
                 if col == last:
                     results.append(
-                        RowAssignment._checked(tuple(choice), tuple(masks), tuple(values))
+                        RowAssignment._checked(columns, tuple(masks), tuple(values))
                     )
                 else:
-                    dfs(col + 1, ties)
-                choice.pop()
+                    dfs(col + 1, tied & ~ascending)
                 for i, _ in on:
                     masks[i] ^= bit
             for i in changed:
@@ -459,7 +446,7 @@ class ProbeOutcome:
 def solve_fixed_k(
     dm: DistanceMatrix,
     k: int,
-    cr: CurrentRange = DEFAULT_CURRENT_RANGE,
+    cr: CurrentRange,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> ProbeOutcome:
     """Run the full pipeline for one cell size.
@@ -470,6 +457,8 @@ def solve_fixed_k(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
     decomp_cache: dict[int, tuple[tuple[int, ...], ...]] = {}
     dmcurs: list[list[tuple[tuple[int, ...], ...]]] = []
     for s in range(dm.m):
@@ -502,7 +491,7 @@ def solve_fixed_k(
 
 def probe_k_range(
     dm: DistanceMatrix,
-    cr: CurrentRange = DEFAULT_CURRENT_RANGE,
+    cr: CurrentRange,
     k_max: int = 8,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> list[ProbeOutcome]:
@@ -520,7 +509,7 @@ def probe_k_range(
 
 def find_min_k(
     dm: DistanceMatrix,
-    cr: CurrentRange = DEFAULT_CURRENT_RANGE,
+    cr: CurrentRange,
     k_max: int = 8,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> Optional[tuple[int, GlobalAssignment]]:
@@ -602,7 +591,7 @@ def _contribution_matrices(
 def brute_force_feasible(
     dm: DistanceMatrix,
     k: int,
-    cr: CurrentRange = DEFAULT_CURRENT_RANGE,
+    cr: CurrentRange,
     return_witness: bool = False,
 ):
     """Exhaustively test whether k branches can reproduce the matrix exactly.

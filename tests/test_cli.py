@@ -72,19 +72,33 @@ def test_compile_then_verify_roundtrip(tmp_path, capsys):
     assert payload["passed"] is True and payload["checked"] == 16
 
 
+# Runs the CLI, then reports the process's peak resident set size
+# (ru_maxrss, in KB on Linux) on the last line of stderr.
+_PEAK_RSS_WRAPPER = """
+import resource, sys
+from dmcam.cli import main
+code = main(sys.argv[1:])
+print(f"peak_rss_kb={resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}", file=sys.stderr)
+sys.exit(code)
+"""
+
+
 def test_compile_3bit_hamming_reaches_k4(tmp_path):
-    # A separate process with a hard timeout: a compile that hangs in AC-3 or
-    # extraction fails here instead of stalling the suite.
+    # A separate process with a hard timeout and a memory bound: a compile
+    # that hangs in AC-3 or extraction, or that holds its row domains in a
+    # heavier form, fails here instead of stalling the suite.
     enc, report = tmp_path / "E.json", tmp_path / "R.json"
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
-        [sys.executable, "-m", "dmcam.cli", "compile", "--metric", "hamming", "--bits", "3",
+        [sys.executable, "-c", _PEAK_RSS_WRAPPER, "compile", "--metric", "hamming", "--bits", "3",
          "--out", str(enc), "--report", str(report)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == EXIT_OK, proc.stderr
+    peak_mb = int(proc.stderr.rsplit("peak_rss_kb=", 1)[1]) / 1024
+    assert peak_mb < 340, f"peak RSS {peak_mb:.0f} MB"
     assert json.loads(report.read_text())["min_k"] == 4
     # Recompute every cell from the JSON alone: branch i conducts its drain
     # multiple when the search gate rank exceeds the stored threshold rank.
@@ -129,6 +143,25 @@ def test_compile_budget_exceeded(tmp_path):
 def test_compile_rejects_non_positive_k(capsys, k):
     assert run(["compile", "--metric", "hamming", "--bits", "2", "--k", k]) == EXIT_ERROR
     assert "k must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_compile_rejects_non_positive_budget(capsys, budget):
+    code = run(["compile", "--metric", "hamming", "--bits", "2", "--budget", budget])
+    assert code == EXIT_ERROR
+    assert "budget must be >= 1" in capsys.readouterr().err
+
+
+def test_verify_rejects_boolean_rank(tmp_path, golden_encoding, capsys):
+    from dmcam.encoder import export_encoding
+
+    data = json.loads(export_encoding(golden_encoding))
+    data["stored"]["3"] = [True] * golden_encoding.k
+    enc = tmp_path / "bool.json"
+    enc.write_text(json.dumps(data))
+    argv = ["verify", "--metric", "hamming", "--bits", "2", "--encoding", str(enc)]
+    assert run(argv) == EXIT_ERROR
+    assert "must be an integer" in capsys.readouterr().err
 
 
 def test_verify_perturbed_encoding(tmp_path, golden_encoding, capsys):

@@ -213,6 +213,13 @@ def test_import_rejects_negative_rank(golden_encoding):
         import_encoding(data)
 
 
+def test_import_rejects_boolean_rank(golden_encoding):
+    data = json.loads(export_encoding(golden_encoding))
+    data["stored"]["3"] = [True] * golden_encoding.k
+    with pytest.raises(ValueError, match="must be an integer"):
+        import_encoding(data)
+
+
 def test_import_rejects_non_contiguous_symbols(golden_encoding):
     data = json.loads(export_encoding(golden_encoding))
     data["stored"]["7"] = data["stored"].pop("3")

@@ -112,3 +112,10 @@ def test_distance_matrix_validation():
         DistanceMatrix(((0, -1), (1, 0)))
     with pytest.raises(ValueError):
         DistanceMatrix(())
+
+
+def test_distance_matrix_rejects_non_integers():
+    with pytest.raises(ValueError, match="must be an integer"):
+        DistanceMatrix(((True, 0),))
+    with pytest.raises(ValueError, match="must be an integer"):
+        DistanceMatrix(((0.5, 0),))

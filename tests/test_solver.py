@@ -42,6 +42,13 @@ def test_current_range_strictly_increasing():
         CurrentRange((0, 1, 1))
 
 
+def test_current_range_rejects_non_integers():
+    with pytest.raises(ValueError, match="must be an integer"):
+        CurrentRange((0, 1.7))
+    with pytest.raises(ValueError, match="must be an integer"):
+        CurrentRange((0, True))
+
+
 def test_current_range_parse_and_covering():
     assert CurrentRange.parse("0,1,2").multiples == (0, 1, 2)
     assert CurrentRange.covering(3).multiples == (0, 1, 2, 3)
@@ -97,8 +104,14 @@ def test_row_assignment_rejects_mixed_on_currents():
 
 def test_row_assignment_derived_fields():
     ra = RowAssignment(((0, 0, 2), (0, 1, 0), (1, 0, 0), (0, 0, 0)))
-    assert ra.on_sets == (frozenset({2}), frozenset({1}), frozenset({0}))
+    assert ra.masks == (0b100, 0b010, 0b001)
     assert ra.fet_values == (1, 1, 2)
+
+
+def test_row_assignment_keeps_trailing_all_off_column():
+    ra = RowAssignment(((1,), (0,)))
+    assert ra != RowAssignment(((1,),))
+    assert ra.tuples == ((1,), (0,))
 
 
 def test_backtrack_row_contains_published_pattern(hamming_dm):
@@ -214,8 +227,8 @@ def test_extracted_solution_chains_validate(hamming_dm):
     # per branch, the rows' on-sets nest into an inclusion chain
     out = solve_fixed_k(hamming_dm, 3, CR012)
     for i in range(out.assignment.k):
-        chain = sorted({r.on_sets[i] for r in out.assignment.rows}, key=len)
-        assert all(a < b for a, b in zip(chain, chain[1:]))
+        chain = sorted({r.masks[i] for r in out.assignment.rows}, key=int.bit_count)
+        assert all(a != b and not a & ~b for a, b in zip(chain, chain[1:]))
 
 
 def test_ac3_pruning_is_sound(hamming_dm):
