@@ -14,7 +14,6 @@ from .solver import (
     brute_force_feasible,
     decompose_dm,
     extract_solution,
-    find_min_k,
     solve_fixed_k,
 )
 from .encoder import (

@@ -28,7 +28,6 @@ from .device import VariationParams
 from .encoder import (
     DEFAULT_LADDER,
     VoltageLadder,
-    derive_encoding,
     encoding_table_csv,
     export_encoding,
     load_encoding,
@@ -40,7 +39,6 @@ from .solver import (
     BudgetExceededError,
     CurrentRange,
     brute_force_feasible,
-    solve_fixed_k,
 )
 
 EXIT_OK = 0
@@ -108,7 +106,7 @@ def build_parser(defaults: dict | None = None) -> _Parser:
     p = add_command("compile", "solve for the minimal cell and emit an encoding")
     _add_metric_flags(p)
     p.add_argument("--levels", default="auto", help="current multiples, e.g. 0,1,2 (auto = 0..max entry)")
-    p.add_argument("--k", type=int, help="force a fixed cell size instead of searching")
+    p.add_argument("--k", type=int, help="probe only this cell size (--k-max is ignored)")
     p.add_argument("--k-max", type=int, default=8)
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--out", help="encoding JSON path")
@@ -244,20 +242,12 @@ def cmd_dm(args) -> int:
 def cmd_compile(args) -> int:
     dm = _dm_from_args(args)
     cr = _levels_from_args(args, dm)
+    # --k probes exactly that size and ignores --k-max
+    k_min, k_max = (args.k, args.k) if args.k is not None else (1, args.k_max)
     t0 = time.perf_counter()
-    if args.k is not None:
-        # Forced cell size: probe exactly that k.
-        outcome = solve_fixed_k(dm, args.k, cr, args.budget)
-        probes = [outcome]
-        feasible = outcome.feasible
-        encoding = derive_encoding(outcome.assignment) if feasible else None
-    else:
-        result = compile_dm(dm, cr, k_max=args.k_max, budget=args.budget)
-        probes = list(result.probes)
-        feasible = result.feasible
-        encoding = result.encoding
+    result = compile_dm(dm, cr, k_min=k_min, k_max=k_max, budget=args.budget)
     elapsed = time.perf_counter() - t0
-
+    encoding = result.encoding
     report = {
         "config": _config_dict(args),
         "levels": list(cr.multiples),
@@ -269,10 +259,10 @@ def cmd_compile(args) -> int:
                 "domain_sizes": list(p.domain_sizes),
                 "pruned_domain_sizes": list(p.pruned_sizes),
             }
-            for p in probes
+            for p in result.probes
         ],
-        "min_k": probes[-1].k if feasible else None,
-        "feasible": feasible,
+        "min_k": result.k,
+        "feasible": result.feasible,
     }
     if encoding is not None:
         verify = verify_encoding(encoding, dm)
@@ -286,9 +276,9 @@ def cmd_compile(args) -> int:
             Path(args.table).write_text(encoding_table_csv(encoding, bits))
     if args.report:
         Path(args.report).write_text(_json_dump(report))
-    print(f"# {'feasible' if feasible else 'infeasible'} "
-          f"(k={report['min_k']}) in {elapsed:.3f}s", file=sys.stderr)
-    return EXIT_OK if feasible else EXIT_INFEASIBLE
+    print(f"# {'feasible' if result.feasible else 'infeasible'} "
+          f"(k={result.k}) in {elapsed:.3f}s", file=sys.stderr)
+    return EXIT_OK if result.feasible else EXIT_INFEASIBLE
 
 
 def cmd_verify(args) -> int:

@@ -12,7 +12,7 @@ from .solver import (
     CurrentRange,
     GlobalAssignment,
     ProbeOutcome,
-    probe_k_range,
+    solve_fixed_k,
 )
 
 
@@ -35,19 +35,27 @@ class CompileResult:
 def compile_dm(
     dm: DistanceMatrix,
     cr: Optional[CurrentRange] = None,
+    k_min: int = 1,
     k_max: int = 8,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> CompileResult:
-    """Find the smallest feasible cell and derive its verified encoding.
+    """Find the smallest feasible cell size in k_min..k_max and derive its verified encoding.
 
-    With cr omitted, the contiguous range 0..max_entry is used so every
-    entry is decomposable by a large enough cell. The derived encoding is
+    Sizes are probed upward, stopping at the first solved one. With cr
+    omitted, the contiguous range 0..max_entry is used so every entry is
+    decomposable by a large enough cell. The derived encoding is
     re-verified against the matrix before being returned; a verification
     failure would indicate a solver defect and raises.
     """
+    if k_max < k_min:
+        raise ValueError(f"k_max must be >= {k_min}")
     if cr is None:
         cr = CurrentRange.covering(dm.max_entry)
-    probes = tuple(probe_k_range(dm, cr, k_max, budget))
+    probes: tuple[ProbeOutcome, ...] = ()
+    for k in range(k_min, k_max + 1):
+        probes += (solve_fixed_k(dm, k, cr, budget),)
+        if probes[-1].feasible:
+            break
     last = probes[-1]
     if not last.feasible:
         return CompileResult(dm, cr, probes, None, None, None)
@@ -59,4 +67,3 @@ def compile_dm(
             f"derived encoding failed verification on {len(report.mismatches)} entries"
         )
     return CompileResult(dm, cr, probes, last.k, last.assignment, encoding)
-

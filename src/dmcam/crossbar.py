@@ -44,9 +44,13 @@ QUERY_BLOCK = 64  # queries per batched call in the pipelines; bounds queries x 
 
 
 def _integer_array(values) -> np.ndarray:
-    """values as an array: integer input keeps its dtype, anything else goes through int64."""
+    """values as an array in their own integer dtype (int64 if empty); any other dtype raises."""
     array = np.asarray(values)
-    return array if array.dtype.kind in "iu" else np.asarray(values, dtype=np.int64)
+    if array.dtype.kind in "iu":
+        return array
+    if array.size == 0:
+        return array.astype(np.int64)
+    raise ValueError(f"symbols must be integers, got dtype {array.dtype}")
 
 
 def checked_symbols(values, levels: int, error: str) -> np.ndarray:
@@ -336,7 +340,7 @@ def monte_carlo(
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    queries = np.asarray(queries, dtype=np.int64)
+    queries = checked_symbols(queries, encoding.m, "query symbols must lie in [0, m)")
     if queries.ndim != 2 or len(queries) == 0:
         raise ValueError("queries must be a non-empty queries x dims matrix")
     expected = tuple(int(e) for e in expected_winners)

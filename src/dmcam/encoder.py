@@ -32,19 +32,22 @@ class VoltageEncoding:
     vds_multiples: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "k", as_integer(self.k, "k"))
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        for name, table in (
-            ("vth_ranks", self.vth_ranks),
-            ("vgs_ranks", self.vgs_ranks),
-            ("vds_multiples", self.vds_multiples),
+        for name, what in (
+            ("vth_ranks", "a threshold rank"),
+            ("vgs_ranks", "a gate rank"),
+            ("vds_multiples", "a drain multiple"),
         ):
+            table = tuple(tuple(as_integer(v, what) for v in e) for e in getattr(self, name))
+            object.__setattr__(self, name, table)
             if not table:
                 raise ValueError(f"{name} must not be empty")
             for entry in table:
                 if len(entry) != self.k:
                     raise ValueError(f"{name} entries must have length k={self.k}")
-                if any(not isinstance(v, int) or v < 0 for v in entry):
+                if any(v < 0 for v in entry):
                     raise ValueError(f"{name} must hold nonnegative integers")
         if len(self.vgs_ranks) != len(self.vds_multiples):
             raise ValueError("search tables must cover the same symbols")
@@ -262,15 +265,11 @@ def import_encoding(source: str | dict) -> VoltageEncoding:
     if not isinstance(data, dict):
         raise ValueError("encoding JSON must be an object")
     try:
-        k = as_integer(data["k"], "k")
         stored = _symbol_table(data["stored"], "stored")
         search = _symbol_table(data["search"], "search")
-        vth = tuple(tuple(as_integer(v, "a threshold rank") for v in e) for e in stored)
-        vgs = tuple(tuple(as_integer(v, "a gate rank") for v in e["vgs"]) for e in search)
-        vds = tuple(tuple(as_integer(v, "a drain multiple") for v in e["vds"]) for e in search)
+        return VoltageEncoding(data["k"], stored, [e["vgs"] for e in search], [e["vds"] for e in search])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"encoding JSON is missing required structure: {exc}") from exc
-    return VoltageEncoding(k, vth, vgs, vds)
 
 
 def load_encoding(path: str | Path) -> VoltageEncoding:

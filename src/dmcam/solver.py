@@ -134,7 +134,7 @@ class RowAssignment:
     __slots__ = ("columns", "masks", "fet_values")
 
     def __init__(self, tuples: Iterable[Sequence[int]]):
-        tt = tuple(tuple(int(v) for v in t) for t in tuples)
+        tt = tuple(tuple(as_integer(v, "a branch current") for v in t) for t in tuples)
         if not tt:
             raise ValueError("row assignment needs at least one column")
         k = len(tt[0])
@@ -487,38 +487,6 @@ def solve_fixed_k(
     if ga is None:
         return ProbeOutcome(k, "no_global", None, domain_sizes, region.domain_sizes)
     return ProbeOutcome(k, "solved", ga, domain_sizes, region.domain_sizes)
-
-
-def probe_k_range(
-    dm: DistanceMatrix,
-    cr: CurrentRange,
-    k_max: int = 8,
-    budget: int = DEFAULT_NODE_BUDGET,
-) -> list[ProbeOutcome]:
-    """Probe k = 1..k_max in order, stopping at the first solved size."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    outcomes = []
-    for k in range(1, k_max + 1):
-        outcome = solve_fixed_k(dm, k, cr, budget)
-        outcomes.append(outcome)
-        if outcome.feasible:
-            break
-    return outcomes
-
-
-def find_min_k(
-    dm: DistanceMatrix,
-    cr: CurrentRange,
-    k_max: int = 8,
-    budget: int = DEFAULT_NODE_BUDGET,
-) -> Optional[tuple[int, GlobalAssignment]]:
-    """Smallest cell size k <= k_max with a full solution, or None."""
-    last = probe_k_range(dm, cr, k_max, budget)[-1]
-    if last.feasible:
-        assert last.assignment is not None
-        return last.k, last.assignment
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dmcam.datasets import load_mnist, synthetic_digits_via_idx
 from dmcam.device import VariationParams
 from dmcam.encoder import derive_encoding, verify_encoding
 from dmcam.metric import DistanceMatrix, DistanceSpec, MetricKind, build_dm
-from dmcam.solver import CurrentRange, brute_force_feasible, find_min_k, solve_fixed_k
+from dmcam.solver import CurrentRange, brute_force_feasible, solve_fixed_k
 
 CR012 = CurrentRange((0, 1, 2))
 PAPER_VARIATION = dict(sigma_vth=0.054, sigma_r_rel=0.08)
@@ -78,8 +78,8 @@ def test_criterion_1_golden_table(golden_encoding, hamming_dm):
 
 def test_criterion_2_minimal_k_reproduction(hamming_dm):
     with criterion(2, "minimal cell size for 2-bit Hamming is k=3", 10.0):
-        result = find_min_k(hamming_dm, CR012, k_max=4)
-        assert result is not None and result[0] == 3
+        result = compile_dm(hamming_dm, CR012, k_max=4)
+        assert result.feasible and result.k == 3
         for k in (1, 2):
             assert not solve_fixed_k(hamming_dm, k, CR012).feasible
             assert brute_force_feasible(hamming_dm, k, CR012) is False

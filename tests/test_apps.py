@@ -72,6 +72,15 @@ def test_software_distances_direct(hamming_dm):
     assert software_nearest(hamming_dm, stored, query) == 0
 
 
+def test_software_distances_rejects_non_integer_symbols(hamming_dm):
+    with pytest.raises(ValueError, match="must be integers"):
+        software_distances(hamming_dm, [[0.7, 3.9]], [2, 1])
+    with pytest.raises(ValueError, match="must be integers"):
+        software_distances(hamming_dm, [[0, 3]], [2.5, 1.2])
+    with pytest.raises(ValueError, match="must be integers"):
+        software_distances(hamming_dm, [[True, False]], [1, 0])
+
+
 def test_software_knn_order_tie_break(hamming_dm):
     stored = np.array([[1], [0], [1]])
     query = np.array([1])

@@ -145,6 +145,21 @@ def test_compile_rejects_non_positive_k(capsys, k):
     assert "k must be >= 1" in capsys.readouterr().err
 
 
+def test_compile_rejects_k_max_below_one(capsys):
+    assert run(["compile", "--metric", "hamming", "--bits", "2", "--k-max", "0"]) == EXIT_ERROR
+    assert "k_max must be >= 1" in capsys.readouterr().err
+
+
+def test_compile_forced_k_ignores_k_max(tmp_path):
+    report = tmp_path / "r.json"
+    code = run([
+        "compile", "--metric", "hamming", "--bits", "2", "--k", "3", "--k-max", "2",
+        "--out", str(tmp_path / "enc.json"), "--report", str(report),
+    ])
+    assert code == EXIT_OK
+    assert [p["k"] for p in json.loads(report.read_text())["probes"]] == [3]
+
+
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_compile_rejects_non_positive_budget(capsys, budget):
     code = run(["compile", "--metric", "hamming", "--bits", "2", "--budget", budget])

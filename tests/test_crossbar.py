@@ -115,6 +115,18 @@ def test_query_validation(hamming_compiled):
         cb.search([0, 4])
 
 
+@pytest.mark.parametrize("bad", [[[0.7, 3.9]], [[True, False]]])
+def test_non_integer_symbols_rejected(hamming_compiled, bad):
+    with pytest.raises(ValueError, match="must be integers"):
+        Crossbar(hamming_compiled.encoding, bad)
+    cb = Crossbar(hamming_compiled.encoding, [[0, 3]])
+    with pytest.raises(ValueError, match="must be integers"):
+        cb.search(bad[0])
+    with pytest.raises(ValueError, match="must be integers"):
+        monte_carlo(hamming_compiled.encoding, [[0, 3]], bad, [0],
+                    VariationParams(0.054, 0.08, seed=0), runs=1)
+
+
 def test_row_currents_match_scalar_device_model(hamming_compiled):
     # Replays the array's per-row variation stream device by device and sums
     # scalar branch currents in Python order.

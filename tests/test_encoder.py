@@ -220,6 +220,17 @@ def test_import_rejects_boolean_rank(golden_encoding):
         import_encoding(data)
 
 
+def test_encoding_rejects_non_integer_fields():
+    with pytest.raises(ValueError, match="must be an integer"):
+        VoltageEncoding(True, ((True,), (0,)), ((2,),), ((True,),))
+    with pytest.raises(ValueError, match="must be an integer"):
+        VoltageEncoding(1, ((1.0,), (0,)), ((2,),), ((1,),))
+    with pytest.raises(ValueError, match="must be an integer"):
+        VoltageEncoding(1, ((1,), (0,)), ((2,),), ((1.5,),))
+    enc = VoltageEncoding(1, [[1], [0]], [[2]], [[1]])
+    assert enc.vth_ranks == ((1,), (0,)) and enc.vds_multiples == ((1,),)
+
+
 def test_import_rejects_non_contiguous_symbols(golden_encoding):
     data = json.loads(export_encoding(golden_encoding))
     data["stored"]["7"] = data["stored"].pop("3")

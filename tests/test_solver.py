@@ -3,7 +3,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from dmcam.metric import DistanceMatrix
+from dmcam.compiler import compile_dm
+from dmcam.metric import DistanceMatrix, DistanceSpec, MetricKind, build_dm
 from dmcam.solver import (
     BudgetExceededError,
     CurrentRange,
@@ -14,8 +15,6 @@ from dmcam.solver import (
     brute_force_feasible,
     decompose_dm,
     extract_solution,
-    find_min_k,
-    probe_k_range,
     solve_fixed_k,
 )
 
@@ -47,6 +46,10 @@ def test_current_range_rejects_non_integers():
         CurrentRange((0, 1.7))
     with pytest.raises(ValueError, match="must be an integer"):
         CurrentRange((0, True))
+    with pytest.raises(ValueError, match="must be an integer"):
+        RowAssignment(((1.7,),))
+    with pytest.raises(ValueError, match="must be an integer"):
+        RowAssignment(((True,), (1,)))
 
 
 def test_current_range_parse_and_covering():
@@ -259,33 +262,51 @@ def test_ac3_pruning_sound_on_random_instances():
 
 
 def test_find_min_k_hamming(hamming_dm):
-    result = find_min_k(hamming_dm, CR012, k_max=4)
-    assert result is not None and result[0] == 3
+    result = compile_dm(hamming_dm, CR012, k_max=4)
+    assert result.feasible and result.k == 3
 
 
 def test_find_min_k_trivial_matrix():
     dm = DistanceMatrix(((0,),))
-    result = find_min_k(dm, CurrentRange((0, 1)), k_max=1)
-    assert result is not None
-    k, ga = result
+    result = compile_dm(dm, CurrentRange((0, 1)), k_max=1)
+    assert result.feasible
+    k, ga = result.k, result.assignment
     assert k == 1
     assert ga.rows[0].tuples == ((0,),)
 
 
 def test_find_min_k_manhattan_matches_oracle(manhattan_dm):
     cr = CurrentRange.covering(manhattan_dm.max_entry)
-    result = find_min_k(manhattan_dm, cr, k_max=6)
-    assert result is not None
-    k = result[0]
+    result = compile_dm(manhattan_dm, cr, k_max=6)
+    assert result.feasible
+    k = result.k
     assert k == 3  # derived with the brute-force oracle
     assert brute_force_feasible(manhattan_dm, k, cr) is True
     assert all(not brute_force_feasible(manhattan_dm, kk, cr) for kk in range(1, k))
 
 
 def test_probe_k_range_stops_at_first_solution(hamming_dm):
-    probes = probe_k_range(hamming_dm, CR012, k_max=8)
+    probes = compile_dm(hamming_dm, CR012, k_max=8).probes
     assert [p.k for p in probes] == [1, 2, 3]
     assert [p.feasible for p in probes] == [False, False, True]
+
+
+@pytest.mark.parametrize("kind", list(MetricKind))
+def test_fixed_size_compile_is_one_probe(kind):
+    dm = build_dm(DistanceSpec(kind, 2))
+    cr = CurrentRange.covering(dm.max_entry)
+    min_k = compile_dm(dm, cr).k
+    for k in (2, min_k):
+        result = compile_dm(dm, cr, k_min=k, k_max=k)
+        assert result.probes == (solve_fixed_k(dm, k, cr),)
+        assert result.feasible == (k == min_k)
+
+
+def test_compile_rejects_empty_k_range(hamming_dm):
+    with pytest.raises(ValueError, match="k_max must be >= 1"):
+        compile_dm(hamming_dm, CR012, k_max=0)
+    with pytest.raises(ValueError, match="k_max must be >= 3"):
+        compile_dm(hamming_dm, CR012, k_min=3, k_max=2)
 
 
 def test_monotone_in_k():
