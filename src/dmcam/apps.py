@@ -233,6 +233,14 @@ def knn_classify(
 
 HDC_LEARNING_RATE = 0.1  # scale of one correction-epoch update
 
+# Correction epochs score blocks of samples with one GEMM only after this many
+# samples in a row needed no correction; a block then holds as many samples as
+# that clean run, up to _HDC_MAX_BLOCK, so it doubles while samples stay clean.
+# Correction-heavy stretches stay on the per-sample path, where most rows of a
+# block would be scored against class vectors that a correction then changes.
+_HDC_CLEAN_RUN = 32
+_HDC_MAX_BLOCK = 1024
+
 
 @dataclass
 class HDCModel:
@@ -242,6 +250,7 @@ class HDCModel:
     class_vectors: np.ndarray  # (classes, dimension) float accumulators
     quantized_class_vectors: np.ndarray  # (classes, dimension) symbols
     quantizer: Quantizer  # fitted on projected training vectors
+    corrections: tuple[int, ...] = ()  # correction updates per requested epoch
 
     @property
     def class_count(self) -> int:
@@ -254,6 +263,23 @@ class HDCModel:
         dtype that holds levels - 1, so searching them copies nothing.
         """
         return self.quantizer._counts(np.asarray(x, dtype=np.float64) @ self.projection)
+
+
+def _score_slack(train_x: np.ndarray, dimension: int) -> np.ndarray:
+    """Per sample, the part of a score margin's bound that covers the dot products.
+
+    Two evaluations of a dot product of length D, in any summation order,
+    each lie within gamma_D * sum|c_i h_i| of the exact value, gamma_D =
+    D u / (1 - D u) (Higham, "Accuracy and Stability of Numerical
+    Algorithms", 2002, section 3.1). By Cauchy-Schwarz that sum is at most
+    ||c||_2 ||h||_2, and dividing by the class norm leaves 2 gamma_D ||h||_2
+    per score; a margin must beat two such errors. Every projection entry is
+    +-1, so ||h||_2 <= sqrt(D) ||x||_1. The extra factor 2 and the 1e-9
+    absorb the rounding of h, of the norms, of the margin and of the bound.
+    """
+    u = np.finfo(np.float64).eps / 2
+    gamma = dimension * u / (1 - dimension * u)
+    return 8 * gamma * np.sqrt(dimension) * np.abs(train_x).sum(axis=1) * (1 + 1e-9)
 
 
 def hdc_train(
@@ -272,19 +298,32 @@ def hdc_train(
     next to the accumulated prototype. Prototypes are scaled to per-sample
     magnitude (divided by class size) before sharing the train-fitted
     quantizer.
+
+    The epochs give bit for bit the model of scoring one sample at a time
+    (one GEMV against the class vectors, argmax with the lowest index
+    winning ties). After a run of clean samples they score a block of
+    samples with one GEMM. A sample of the block is accepted as it stands
+    only when its own class wins by more than a proven bound on the
+    difference between the GEMM and GEMV scores, so the GEMV would also
+    have picked it; every other sample is replayed exactly through the
+    per-sample step, and after a correction scoring resumes with the new
+    vectors. An epoch without a correction leaves the vectors unchanged, so
+    every later epoch would repeat it: training stops there, and the
+    skipped epochs count 0 in `corrections`.
     """
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     rng = np.random.default_rng(seed)
-    # Draw {0, 1} in the stream's int64 and map it to {-1, +1} in place.
-    projection = rng.integers(0, 2, (dataset.feature_count, dimension)).astype(np.float64)
-    projection *= 2
-    projection -= 1
-    projected = dataset.train_x @ projection  # (samples, dimension)
-    stored_projection = projection.astype(np.int8)
-    del projection  # free it before the quantizer sorts a copy of `projected`
+    # Draw {0, 1} in the stream's int64, keep it as int8 {-1, +1} and
+    # widen that once for the GEMM.
+    draw = rng.integers(0, 2, (dataset.feature_count, dimension))
+    stored_projection = draw.astype(np.int8)
+    del draw
+    stored_projection *= 2
+    stored_projection -= 1
+    projected = dataset.train_x @ stored_projection.astype(np.float64)  # (samples, dimension)
 
     classes = dataset.class_count
     counts = np.bincount(dataset.train_y, minlength=classes).astype(np.float64)
@@ -297,18 +336,50 @@ def hdc_train(
     for h, label in zip(projected, dataset.train_y):
         class_vectors[label] += h
 
-    # A correction changes two class vectors, so only their norms are
-    # recomputed, with the same whole-row reduction as the full norm.
-    norms = np.linalg.norm(class_vectors, axis=1)
-    for _ in range(epochs):
-        for h, label in zip(projected, dataset.train_y):
-            scores = class_vectors @ h / np.maximum(norms, 1e-12)
-            pred = int(np.argmax(scores))
-            if pred != label:
-                class_vectors[label] += HDC_LEARNING_RATE * h
-                class_vectors[pred] -= HDC_LEARNING_RATE * h
-                changed = [label, pred]
-                norms[changed] = np.linalg.norm(class_vectors[changed], axis=1)
+    # Scores divide by the class norms, floored at 1e-12. A correction
+    # changes two class vectors, so only their norms are recomputed, with
+    # the same whole-row reduction as the full norm.
+    scale = np.maximum(np.linalg.norm(class_vectors, axis=1), 1e-12)
+    labels = dataset.train_y
+    label_list = labels.tolist()
+    samples = len(label_list)
+    slack = _score_slack(dataset.train_x, dimension) if epochs else None
+    corrections = [0] * epochs
+    clean = 0  # samples in a row that needed no correction
+    for epoch in range(epochs):
+        start = 0
+        while start < samples:
+            if clean < _HDC_CLEAN_RUN:
+                stop = start + 1
+                replay = (start,)
+            else:
+                # Accept a sample when its own class beats every other by more
+                # than the bound; the argmax of its GEMV is then its label too.
+                stop = min(samples, start + min(clean, _HDC_MAX_BLOCK))
+                scores = projected[start:stop] @ class_vectors.T / scale
+                # plus the rounding of the division in two scores, on both paths
+                bound = slack[start:stop].max() + 4 * np.spacing(np.abs(scores).max())
+                cells = (np.arange(stop - start), labels[start:stop])
+                margin = scores[cells]
+                scores[cells] = -np.inf
+                margin -= scores.max(axis=1)
+                replay = start + np.flatnonzero(~(margin > bound))
+            for i in replay:
+                h, label = projected[i], label_list[i]
+                pred = int((class_vectors @ h / scale).argmax())
+                if pred != label:
+                    class_vectors[label] += HDC_LEARNING_RATE * h
+                    class_vectors[pred] -= HDC_LEARNING_RATE * h
+                    changed = [label, pred]
+                    scale[changed] = np.maximum(np.linalg.norm(class_vectors[changed], axis=1), 1e-12)
+                    corrections[epoch] += 1
+                    clean, stop = 0, i + 1
+                    break
+            else:
+                clean += stop - start
+            start = stop
+        if not corrections[epoch]:
+            break
 
     centroids = class_vectors / counts[:, None]
     quantized = quantizer.apply(centroids)
@@ -317,6 +388,7 @@ def hdc_train(
         class_vectors=class_vectors,
         quantized_class_vectors=quantized,
         quantizer=quantizer,
+        corrections=tuple(corrections),
     )
 
 

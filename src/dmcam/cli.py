@@ -265,8 +265,7 @@ def cmd_compile(args) -> int:
         "feasible": result.feasible,
     }
     if encoding is not None:
-        verify = verify_encoding(encoding, dm)
-        report["verify"] = verify.to_dict()
+        report["verify"] = result.verify.to_dict()
         if args.out:
             Path(args.out).write_text(export_encoding(encoding))
         else:
@@ -392,6 +391,7 @@ def cmd_bench(args) -> int:
         model = apps.hdc_train(ds, args.dimension, args.bits, args.epochs, args.seed)
         cb = apps.hdc_class_crossbar(model, compiled.encoding, ladder, variation)
         report = apps.hdc_evaluate(model, ds.test_x, ds.test_y, cb, dm)
+        summary["corrections"] = list(model.corrections)
     summary.update(report.to_dict())
     if args.predictions:
         predictions = zip(report.predictions_hw, report.predictions_sw, ds.test_y)

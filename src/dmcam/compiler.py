@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .encoder import VoltageEncoding, derive_encoding, verify_encoding
+from .encoder import VerifyReport, VoltageEncoding, derive_encoding, verify_encoding
 from .metric import DistanceMatrix
 from .solver import (
     DEFAULT_NODE_BUDGET,
@@ -18,7 +18,7 @@ from .solver import (
 
 @dataclass(frozen=True)
 class CompileResult:
-    """Minimal-k encoding for a matrix, plus the per-k probe trail."""
+    """Minimal-k encoding for a matrix, its verification and the per-k probe trail."""
 
     dm: DistanceMatrix
     cr: CurrentRange
@@ -26,6 +26,7 @@ class CompileResult:
     k: Optional[int]
     assignment: Optional[GlobalAssignment]
     encoding: Optional[VoltageEncoding]
+    verify: Optional[VerifyReport]
 
     @property
     def feasible(self) -> bool:
@@ -44,8 +45,8 @@ def compile_dm(
     Sizes are probed upward, stopping at the first solved one. With cr
     omitted, the contiguous range 0..max_entry is used so every entry is
     decomposable by a large enough cell. The derived encoding is
-    re-verified against the matrix before being returned; a verification
-    failure would indicate a solver defect and raises.
+    re-verified against the matrix and returned with that report; a
+    verification failure would indicate a solver defect and raises.
     """
     if k_max < k_min:
         raise ValueError(f"k_max must be >= {k_min}")
@@ -58,7 +59,7 @@ def compile_dm(
             break
     last = probes[-1]
     if not last.feasible:
-        return CompileResult(dm, cr, probes, None, None, None)
+        return CompileResult(dm, cr, probes, None, None, None, None)
     assert last.assignment is not None
     encoding = derive_encoding(last.assignment)
     report = verify_encoding(encoding, dm)
@@ -66,4 +67,4 @@ def compile_dm(
         raise RuntimeError(
             f"derived encoding failed verification on {len(report.mismatches)} entries"
         )
-    return CompileResult(dm, cr, probes, last.k, last.assignment, encoding)
+    return CompileResult(dm, cr, probes, last.k, last.assignment, encoding, report)

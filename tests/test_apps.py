@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dmcam.apps import (
+    HDCModel,
     Quantizer,
     hdc_class_crossbar,
     hdc_evaluate,
@@ -209,6 +210,111 @@ def test_hdc_train_golden(seed, epochs):
     ds = synthetic_digits(n_train=300, n_test=10, features=64, seed=seed)
     model = hdc_train(ds, dimension=512, bits=2, epochs=epochs, seed=seed)
     assert _model_digest(model) == HDC_TRAIN_GOLDEN[seed, epochs]
+
+
+def _per_sample_hdc_train(dataset, dimension, bits, epochs, seed):
+    """Reference trainer: one GEMV per sample in every requested epoch.
+
+    Returns the model and the corrections made in each epoch.
+    """
+    rng = np.random.default_rng(seed)
+    projection = rng.integers(0, 2, (dataset.feature_count, dimension)).astype(np.float64)
+    projection = projection * 2 - 1
+    projected = dataset.train_x @ projection
+    quantizer = Quantizer.fit(projected, bits)
+    class_vectors = np.zeros((dataset.class_count, dimension))
+    for h, label in zip(projected, dataset.train_y):
+        class_vectors[label] += h
+    norms = np.linalg.norm(class_vectors, axis=1)
+    corrections = []
+    for _ in range(epochs):
+        corrections.append(0)
+        for h, label in zip(projected, dataset.train_y):
+            scores = class_vectors @ h / np.maximum(norms, 1e-12)
+            pred = int(np.argmax(scores))
+            if pred != label:
+                class_vectors[label] += 0.1 * h
+                class_vectors[pred] -= 0.1 * h
+                changed = [label, pred]
+                norms[changed] = np.linalg.norm(class_vectors[changed], axis=1)
+                corrections[-1] += 1
+    centroids = class_vectors / np.bincount(dataset.train_y)[:, None]
+    model = HDCModel(projection.astype(np.int8), class_vectors, quantizer.apply(centroids), quantizer)
+    return model, tuple(corrections)
+
+
+def _one_class_dataset():
+    x = np.random.default_rng(11).uniform(0.0, 255.0, (60, 16))
+    y = np.zeros(60, dtype=np.int64)
+    return Dataset("one-class", x, y, x[:4], y[:4])
+
+
+def _exact_tie_dataset():
+    """A clean run of class 2, then one sample stored in classes 0 and 1 alike.
+
+    Classes 0 and 1 accumulate the same vector, so the tied sample scores
+    exactly equal on both: a block must replay it, the lowest index wins, and
+    every copy labelled 1 is corrected.
+    """
+    rng = np.random.default_rng(12)
+    clean = np.zeros((80, 16))
+    clean[:, 8:] = rng.uniform(50.0, 255.0, (80, 8))
+    tied = np.zeros((1, 16))
+    tied[:, :8] = 200.0
+    x = np.concatenate([clean, np.repeat(tied, 20, axis=0), clean[:40]])
+    y = np.array([2] * 80 + [0, 1] * 10 + [2] * 40)
+    return Dataset("exact-tie", x, y, x[:4], y[:4])
+
+
+HDC_REFERENCE_DATASETS = {
+    "clean": lambda: synthetic_digits(n_train=200, n_test=10, seed=5),
+    "corrective-1": lambda: synthetic_digits(n_train=300, n_test=10, features=64, seed=1),
+    "corrective-40": lambda: synthetic_digits(n_train=300, n_test=10, features=64, seed=40),
+    "one-class": _one_class_dataset,
+    "exact-tie": _exact_tie_dataset,
+}
+
+
+@pytest.mark.parametrize("dimension", [64, 512, 4096])
+@pytest.mark.parametrize("name", sorted(HDC_REFERENCE_DATASETS))
+def test_hdc_train_matches_per_sample_reference(name, dimension):
+    ds = HDC_REFERENCE_DATASETS[name]()
+    for seed in (0, 3):
+        for epochs in (0, 1, 3):
+            model = hdc_train(ds, dimension=dimension, bits=2, epochs=epochs, seed=seed)
+            reference, corrections = _per_sample_hdc_train(ds, dimension, 2, epochs, seed)
+            assert _model_digest(model) == _model_digest(reference)
+            assert model.corrections == corrections
+
+
+def test_hdc_early_exit_matches_every_epoch_run():
+    # corrections die out after a few epochs here; the reference keeps
+    # running every epoch and must count zeros where training stopped
+    ds = synthetic_digits(n_train=200, n_test=10, features=64, seed=3, noise=0.3)
+    model = hdc_train(ds, dimension=512, bits=2, epochs=6, seed=3)
+    reference, corrections = _per_sample_hdc_train(ds, 512, 2, 6, 3)
+    assert _model_digest(model) == _model_digest(reference)
+    assert model.corrections == corrections
+    assert corrections[0] > 0 and corrections[-1] == 0
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_hdc_corrections_count_each_epoch(seed):
+    ds = synthetic_digits(n_train=300, n_test=10, features=64, seed=seed)
+    model = hdc_train(ds, dimension=512, bits=2, epochs=2, seed=seed)
+    assert len(model.corrections) == 2
+    assert sum(model.corrections) > 0
+    assert hdc_train(ds, dimension=512, bits=2, epochs=0, seed=seed).corrections == ()
+
+
+def test_hdc_corrections_stay_zero_after_a_clean_epoch():
+    # each of these trainings corrects at first and has a clean epoch within six
+    for seed, noise, dimension in ((0, 0.25, 512), (3, 0.25, 512), (3, 0.3, 512), (1, 0.15, 64)):
+        ds = synthetic_digits(n_train=200, n_test=10, features=64, seed=seed, noise=noise)
+        corrections = hdc_train(ds, dimension=dimension, bits=2, epochs=6, seed=seed).corrections
+        assert len(corrections) == 6 and corrections[0] > 0
+        first_clean = corrections.index(0)
+        assert all(c == 0 for c in corrections[first_clean:])
 
 
 def test_hdc_missing_class_rejected():

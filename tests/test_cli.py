@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from dmcam.apps import hdc_train
 from dmcam.cli import (
     EXIT_BUDGET,
     EXIT_ERROR,
@@ -15,7 +17,7 @@ from dmcam.cli import (
     EXIT_USAGE,
     main,
 )
-from dmcam.datasets import synthetic_digits_via_idx
+from dmcam.datasets import synthetic_digits, synthetic_digits_via_idx
 
 
 def run(argv):
@@ -70,6 +72,34 @@ def test_compile_then_verify_roundtrip(tmp_path, capsys):
                 "--encoding", str(enc)]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert payload["passed"] is True and payload["checked"] == 16
+
+
+# SHA-256 of the report below as written when compile verified the encoding
+# a second time itself.
+COMPILE_REPORT_SHA256 = "88302d9ada5173765ae0e10956377d6b94c77b0517e06d2f32a8642f204ef523"
+
+
+def test_compile_verifies_once(tmp_path, monkeypatch):
+    import dmcam.cli
+    import dmcam.compiler
+
+    calls = []
+
+    def counted(verify):
+        def wrapper(*args, **kwargs):
+            calls.append(verify)
+            return verify(*args, **kwargs)
+        return wrapper
+
+    for module in (dmcam.compiler, dmcam.cli):
+        monkeypatch.setattr(module, "verify_encoding", counted(module.verify_encoding))
+    monkeypatch.chdir(tmp_path)
+    code = run(["compile", "--metric", "hamming", "--bits", "2", "--threads", "1",
+                "--out", "enc.json", "--report", "report.json", "--table", "table.csv"])
+    assert code == EXIT_OK
+    assert len(calls) == 1
+    digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+    assert digest == COMPILE_REPORT_SHA256
 
 
 # Runs the CLI, then reports the process's peak resident set size
@@ -333,6 +363,21 @@ def test_bench_hdc_runs_and_is_reproducible(tmp_path):
         payloads.append(out.read_bytes())
     assert payloads[0] == payloads[1]
     assert json.loads(payloads[0])["agreement"] == 1.0
+
+
+def test_bench_hdc_reports_corrections_per_epoch(tmp_path):
+    out = tmp_path / "hdc.json"
+    code = run(["bench", "--pipeline", "hdc", "--dataset", "synthetic",
+                "--train-size", "120", "--test-size", "10",
+                "--metric", "hamming", "--bits", "2",
+                "--dimension", "64", "--epochs", "3",
+                "--seed", "2", "--out", str(out)])
+    assert code == EXIT_OK
+    corrections = json.loads(out.read_text())["corrections"]
+    ds = synthetic_digits(120, 10, seed=2)
+    model = hdc_train(ds, dimension=64, bits=2, epochs=3, seed=2)
+    assert corrections == list(model.corrections)
+    assert len(corrections) == 3 and sum(corrections) > 0
 
 
 def test_bench_hdc_predictions_reproduce_summary(tmp_path):
