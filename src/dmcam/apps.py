@@ -19,9 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .crossbar import (
-    Crossbar, checked_symbols, entry_sums, narrow_symbols, query_blocks, smallest_k,
-)
+from .crossbar import QUERY_BLOCK, Crossbar, checked_symbols, entry_sums, smallest_k
 from .datasets import Dataset
 from .device import VariationParams
 from .encoder import DEFAULT_LADDER, VoltageEncoding, VoltageLadder
@@ -208,11 +206,10 @@ def knn_classify(
     index tie-break and votes with the same rule.
     """
     quantizer = Quantizer.fit(train_x, bits)
-    # Symbols stay narrow on their way to the masks: the stored set is counted
-    # narrow; the test set goes through apply (perfbench/spans.py expects
-    # Quantizer.apply calls on knn) and is narrowed once.
+    # The stored set is counted narrow; the test set goes through apply,
+    # whose calls perfbench/spans.py expects on knn.
     stored_q = quantizer._counts(train_x)
-    test_q = narrow_symbols(quantizer.apply(test_x), quantizer.levels)
+    test_q = quantizer.apply(test_x)
     train_y = np.asarray(train_y, dtype=np.int64)
 
     cb = Crossbar(encoding, stored_q, ladder, variation=variation)
@@ -222,7 +219,9 @@ def knn_classify(
     def vote(orders):
         return [majority_label(labels) for labels in train_y[orders].tolist()]
 
-    for block in query_blocks(test_q):
+    # One block at a time bounds the (queries x rows) currents and distances.
+    for start in range(0, len(test_q), QUERY_BLOCK):
+        block = test_q[start:start + QUERY_BLOCK]
         preds_hw += vote(cb.knn(block, kq))
         preds_sw += vote(software_knn_order(dm, stored_q, block, kq))
     return KnnReport.from_predictions(preds_hw, preds_sw, test_y)
@@ -411,10 +410,6 @@ def hdc_evaluate(
 ) -> HdcReport:
     """Classify each test sample on the class array and with the software twin."""
     queries = model.encode(test_x)
-    stored_q = narrow_symbols(model.quantized_class_vectors, model.quantizer.levels)
-    preds_hw = []
-    preds_sw = []
-    for block in query_blocks(queries):
-        preds_hw += cb.search(block).winner
-        preds_sw += software_nearest(dm, stored_q, block)
+    preds_hw = cb.search(queries).winner
+    preds_sw = software_nearest(dm, model.quantized_class_vectors, queries)
     return HdcReport.from_predictions(preds_hw, preds_sw, test_y)

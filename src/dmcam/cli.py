@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import apps, datasets
 from .compiler import compile_dm
-from .crossbar import Crossbar, monte_carlo, query_blocks
+from .crossbar import Crossbar, monte_carlo
 from .device import VariationParams
 from .encoder import (
     DEFAULT_LADDER,
@@ -61,12 +61,9 @@ def _add_metric_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--custom", help="CSV file with a custom distance matrix")
 
 
-def _add_variation_flags(p: argparse.ArgumentParser) -> None:
+def _add_device_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma-vth", type=float, default=0.0, help="threshold sigma in volts")
     p.add_argument("--sigma-r", type=float, default=0.0, help="relative resistance sigma")
-
-
-def _add_ladder_flags(p: argparse.ArgumentParser) -> None:
     d = DEFAULT_LADDER
     p.add_argument("--vgs-base", type=float, default=d.vgs_base)
     p.add_argument("--vth-base", type=float, default=d.vth_base)
@@ -129,8 +126,7 @@ def build_parser(defaults: dict | None = None) -> _Parser:
     p.add_argument("--encoding", required=True)
     p.add_argument("--stored", required=True, help="CSV of stored symbol vectors")
     p.add_argument("--queries", required=True, help="CSV of query symbol vectors")
-    _add_variation_flags(p)
-    _add_ladder_flags(p)
+    _add_device_flags(p)
     p.add_argument("--out", help="results CSV path")
 
     p = add_command("mc", "Monte-Carlo winner accuracy under device variation")
@@ -139,8 +135,7 @@ def build_parser(defaults: dict | None = None) -> _Parser:
     p.add_argument("--queries", required=True)
     p.add_argument("--expected", help="CSV of expected winner rows (default: ideal winners)")
     p.add_argument("--runs", type=int, default=100)
-    _add_variation_flags(p)
-    _add_ladder_flags(p)
+    _add_device_flags(p)
     p.add_argument("--out", help="per-run outcome CSV path")
     p.add_argument("--report", help="summary JSON path")
 
@@ -158,18 +153,40 @@ def build_parser(defaults: dict | None = None) -> _Parser:
     p.add_argument("--kq", type=int, default=1)
     p.add_argument("--dimension", type=int, default=1024)
     p.add_argument("--epochs", type=int, default=0)
-    _add_variation_flags(p)
-    _add_ladder_flags(p)
+    _add_device_flags(p)
     p.add_argument("--out", help="summary JSON path")
     p.add_argument("--predictions", help="per-query prediction CSV path")
 
     if defaults:
-        for action in sub.choices.values():
-            known = {a.dest for a in action._actions}
-            action.set_defaults(**{k: v for k, v in defaults.items() if k in known})
-        known = {a.dest for a in parser._actions}
-        parser.set_defaults(**{k: v for k, v in defaults.items() if k in known})
+        parsers = [parser, *sub.choices.values()]
+        unknown = sorted(defaults.keys() - {a.dest for p in parsers for a in p._actions})
+        if unknown:
+            raise SystemExit2(f"config key {unknown[0]!r} matches no flag")
+        for p in parsers:
+            p.set_defaults(**{a.dest: _config_value(a, defaults[a.dest])
+                              for a in p._actions if a.dest in defaults})
     return parser
+
+
+def _config_value(action: argparse.Action, value):
+    """A config file's value for one flag, refused (exit 3) where the flag would refuse it.
+
+    Only a switch such as --dump takes a boolean. A number must be one the
+    flag's type reads back from its text, so 2.5 fails an int flag just as
+    --bits 2.5 does; argparse types a string itself.
+    """
+    if action.nargs == 0 or isinstance(value, bool):
+        valid = action.nargs == 0 and isinstance(value, bool)
+    elif isinstance(value, (int, float)) and action.type:
+        try:
+            valid = action.type(str(value)) == value
+        except ValueError:
+            valid = False
+    else:
+        valid = isinstance(value, str) or (value is None and action.default is None)
+    if not valid or (action.choices is not None and value not in action.choices):
+        raise SystemExit2(f"config key {action.dest!r}: invalid value {value!r}")
+    return value
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
@@ -202,10 +219,8 @@ def _levels_from_args(args: argparse.Namespace, dm) -> CurrentRange:
     return CurrentRange.parse(args.levels)
 
 
-def _variation_from_args(args: argparse.Namespace) -> VariationParams | None:
-    if args.sigma_vth == 0 and args.sigma_r == 0:
-        return None
-    return VariationParams(args.sigma_vth, args.sigma_r, args.seed)
+def _variation_from_args(args: argparse.Namespace) -> VariationParams:
+    return VariationParams(args.sigma_vth, args.sigma_r, args.seed)  # zero sigmas: a nominal array
 
 
 def _ladder_from_args(args: argparse.Namespace) -> VoltageLadder:
@@ -220,11 +235,16 @@ def _ladder_from_args(args: argparse.Namespace) -> VoltageLadder:
 
 def _load_symbol_csv(path: str) -> list[list[int]]:
     rows = []
-    for raw in Path(path).read_text().splitlines():
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        rows.append([int(c) for c in line.split(",")])
+        try:
+            rows.append([int(c) for c in line.split(",")])
+        except ValueError as exc:
+            raise ValueError(f"{path} line {lineno}: not a comma-separated integer row") from exc
+        if len(rows[-1]) != len(rows[0]):
+            raise ValueError(f"{path} line {lineno}: expected {len(rows[0])} symbols, got {len(rows[-1])}")
     if not rows:
         raise ValueError(f"{path}: no symbol rows")
     return rows
@@ -266,10 +286,7 @@ def cmd_compile(args) -> int:
     }
     if encoding is not None:
         report["verify"] = result.verify.to_dict()
-        if args.out:
-            Path(args.out).write_text(export_encoding(encoding))
-        else:
-            sys.stdout.write(export_encoding(encoding))
+        _write_or_print(export_encoding(encoding), args.out)
         if args.table:
             bits = args.bits if not args.custom else None
             Path(args.table).write_text(encoding_table_csv(encoding, bits))
@@ -314,9 +331,8 @@ def cmd_simulate(args) -> int:
         "# config: " + json.dumps(_config_dict(args), sort_keys=True, default=str),
         "query,row,current_a,current_units,winner",
     ]
-    found = (cb.search(block) for block in query_blocks(queries))
-    pairs = (pair for f in found for pair in zip(f.row_currents.tolist(), f.winner))
-    for qi, (currents, winner) in enumerate(pairs):
+    found = cb.search(queries)
+    for qi, (currents, winner) in enumerate(zip(found.row_currents.tolist(), found.winner)):
         for row, current in enumerate(currents):
             units = current / ladder.unit_current
             lines.append(f"{qi},{row},{current:.12e},{units:.6f},{int(row == winner)}")
@@ -332,11 +348,9 @@ def cmd_mc(args) -> int:
     if args.expected:
         expected = [row[0] for row in _load_symbol_csv(args.expected)]
     else:
-        ideal = Crossbar(encoding, stored, ladder)
-        expected = [w for block in query_blocks(queries) for w in ideal.search(block).winner]
-    params = VariationParams(args.sigma_vth, args.sigma_r, args.seed)
+        expected = Crossbar(encoding, stored, ladder).search(queries).winner
     result = monte_carlo(
-        encoding, stored, queries, expected, params, args.runs,
+        encoding, stored, queries, expected, _variation_from_args(args), args.runs,
         ladder=ladder, workers=max(args.threads, 1),
     )
     if args.out:

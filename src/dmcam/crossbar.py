@@ -15,9 +15,10 @@ with more cells gets 0/1 masks, one per symbol but its first, and the
 other is gathered from the table: one base-row sum plus n - 1 GEMMs for
 n symbols on the mask side, the mask on the left of each GEMM (on knn's
 1000 x 784 array against 20 queries, (1000 x 784) @ (784 x 20) takes
-about 0.35 ms against 0.65 ms the other way round, 2 cores). Stored
-symbols are kept in the narrowest unsigned dtype and integer queries keep
-theirs, so no symbol array is widened on its way to the masks.
+about 0.35 ms against 0.65 ms the other way round, 2 cores). For every
+caller, `checked_symbols` checks symbols and narrows them once to the
+smallest unsigned dtype, and `entry_sums` senses queries QUERY_BLOCK at a
+time, which bounds its mask and gather buffers.
 
 A varied array evaluates the device model for every device, in buffers it
 keeps across redraws, so one array can be redrawn and sensed run after
@@ -40,40 +41,22 @@ from .device import DEFAULT_ISAT, VariationParams, conduct, sample_variation
 from .encoder import DEFAULT_LADDER, VoltageEncoding, VoltageLadder
 
 
-QUERY_BLOCK = 64  # queries per batched call in the pipelines; bounds queries x rows buffers
-
-
-def _integer_array(values) -> np.ndarray:
-    """values as an array in their own integer dtype (int64 if empty); any other dtype raises."""
-    array = np.asarray(values)
-    if array.dtype.kind in "iu":
-        return array
-    if array.size == 0:
-        return array.astype(np.int64)
-    raise ValueError(f"symbols must be integers, got dtype {array.dtype}")
+QUERY_BLOCK = 64  # queries per block in entry_sums; bounds its mask and gather buffers
 
 
 def checked_symbols(values, levels: int, error: str) -> np.ndarray:
-    """values as an integer array (see _integer_array) whose entries lie in [0, levels).
+    """values as symbols in [0, levels), in the narrowest unsigned dtype that holds levels - 1.
 
-    Raises ValueError(error) otherwise. The range is checked on the array as
-    given, before anything narrows it.
+    values must be integers (an empty array may have any dtype); an entry
+    outside [0, levels) raises ValueError(error). The range is checked on
+    the array as given, before it is narrowed.
     """
-    symbols = _integer_array(values)
+    symbols = np.asarray(values)
+    if symbols.size and symbols.dtype.kind not in "iu":
+        raise ValueError(f"symbols must be integers, got dtype {symbols.dtype}")
     if symbols.size and (symbols.min() < 0 or symbols.max() >= levels):
         raise ValueError(error)
-    return symbols
-
-
-def narrow_symbols(symbols: np.ndarray, levels: int) -> np.ndarray:
-    """Symbols in [0, levels) in the narrowest unsigned dtype that holds levels - 1."""
     return symbols.astype(np.min_scalar_type(levels - 1), copy=False)
-
-
-def query_blocks(queries) -> list[np.ndarray]:
-    """The queries as consecutive batches of at most QUERY_BLOCK, in an integer dtype."""
-    queries = _integer_array(queries)
-    return [queries[i:i + QUERY_BLOCK] for i in range(0, len(queries), QUERY_BLOCK)]
 
 
 def _masked_sums(table: np.ndarray, masked: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -93,7 +76,6 @@ def _masked_sums(table: np.ndarray, masked: np.ndarray, other: np.ndarray) -> np
     dtype = np.float32 if exact32 else np.float64
     folded[0] = table[0]
     gathered = np.take(folded.astype(dtype), other, axis=1)  # (symbols, len(other), dims)
-    masked = narrow_symbols(masked, len(table))
     sums = np.empty((len(masked), len(other)), dtype=dtype)
     sums[:] = gathered[0].sum(axis=1)
     mask = np.empty(masked.shape, dtype=dtype)
@@ -106,15 +88,23 @@ def _masked_sums(table: np.ndarray, masked: np.ndarray, other: np.ndarray) -> np
 def entry_sums(table, stored: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """sums[q, r] = sum over d of table[queries[q, d], stored[r, d]], as float64.
 
-    The operand with more cells gets the 0/1 masks: the stored array when it
-    is the larger (its (rows, Q) product is transposed), the query batch
-    otherwise. Stored symbols must lie in [0, n) and query symbols in [0, m).
-    Either way equal distances compare equal and ties go to the lowest index.
+    The queries are summed QUERY_BLOCK at a time into one (Q, rows) result.
+    In each block the operand with more cells gets the 0/1 masks: the
+    stored array when it is the larger (its (rows, block) product is
+    transposed), the query block otherwise. Stored symbols must lie in
+    [0, n) and query symbols in [0, m). Either way equal distances compare
+    equal and ties go to the lowest index.
     """
     table = np.asarray(table, dtype=np.float64)
-    if stored.size >= queries.size:
-        return np.ascontiguousarray(_masked_sums(table.T, stored, queries).T, dtype=np.float64)
-    return _masked_sums(table, queries, stored).astype(np.float64, copy=False)
+    sums = np.empty((len(queries), len(stored)))
+    for start in range(0, len(queries), QUERY_BLOCK):
+        span = slice(start, start + QUERY_BLOCK)
+        block = queries[span]
+        if stored.size >= block.size:
+            sums[span] = _masked_sums(table.T, stored, block).T
+        else:
+            sums[span] = _masked_sums(table, block, stored)
+    return sums
 
 
 def smallest_k(values: np.ndarray, kq: int) -> np.ndarray:
@@ -169,10 +159,9 @@ class Crossbar:
         self.encoding = encoding
         self.ladder = ladder
 
-        stored_arr = checked_symbols(stored, encoding.n, "stored symbols must lie in [0, n)")
-        if stored_arr.ndim != 2 or stored_arr.shape[0] < 1 or stored_arr.shape[1] < 1:
+        self._stored = checked_symbols(stored, encoding.n, "stored symbols must lie in [0, n)")
+        if self._stored.ndim != 2 or self._stored.shape[0] < 1 or self._stored.shape[1] < 1:
             raise ValueError("stored must be a nonempty rows x dims matrix")
-        self._stored = narrow_symbols(stored_arr, encoding.n)
 
         # Per-symbol lookup tables in volts.
         self._vth_by_symbol = np.array(
@@ -348,7 +337,6 @@ def monte_carlo(
         raise ValueError("one expected winner per query is required")
     if not all(0 <= e < len(stored) for e in expected):
         raise ValueError(f"expected winners must lie in [0, {len(stored)})")
-    blocks = query_blocks(queries)
     children = np.random.SeedSequence(params.seed).spawn(runs)
 
     def run_chunk(chunk: range) -> list[tuple[int, ...]]:
@@ -356,7 +344,7 @@ def monte_carlo(
         winners = []
         for idx in chunk:
             cb.resample_variation(np.random.default_rng(children[idx]), params)
-            winners.append(tuple(w for block in blocks for w in cb.search(block).winner))
+            winners.append(tuple(cb.search(queries).winner))
         return winners
 
     workers = max(1, min(workers, runs, os.cpu_count() or 1))

@@ -42,6 +42,7 @@ class DistanceSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", MetricKind(self.kind))
+        object.__setattr__(self, "bits", as_integer(self.bits, "bits"))
         if self.bits < 1:
             raise ValueError("bits must be >= 1")
 

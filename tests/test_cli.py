@@ -467,6 +467,60 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     assert capsys.readouterr().out == "0,1\n1,0\n"
 
 
+@pytest.mark.parametrize("command, config", [
+    (["dm", "--metric", "hamming"], {"bits": 2.5}),
+    (["dm", "--metric", "hamming"], {"bits": True}),
+    (["compile", "--metric", "hamming"], {"k_max": 2.5}),
+    (["oracle", "--metric", "hamming", "--k", "1"], {"dump": 1}),
+    (["dm"], {"metric": "cosine", "bits": 1}),
+])
+def test_config_value_is_checked_like_its_flag(tmp_path, capsys, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["--config", str(cfg), *command]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    key = next(iter(config))
+    assert f"config key {key!r}: invalid value" in captured.err
+
+
+def test_config_switch_takes_a_boolean(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dump": True, "bits": 1}))
+    assert run(["--config", str(cfg), "oracle", "--metric", "hamming", "--k", "2"]) == EXIT_OK
+    assert "witness" in json.loads(capsys.readouterr().out)
+
+
+def test_config_key_of_no_flag_is_usage_error(tmp_path, compiled_encoding_file, capsys):
+    stored, queries = tmp_path / "s.csv", tmp_path / "q.csv"
+    _write_symbol_csv(stored, [[0, 1], [3, 2]])
+    _write_symbol_csv(queries, [[0, 1]])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sigma_r_rel": 0.08, "sigma_vth": 0.054}))
+    argv = ["--config", str(cfg), "mc", "--encoding", str(compiled_encoding_file),
+            "--stored", str(stored), "--queries", str(queries), "--runs", "2"]
+    assert run(argv) == EXIT_USAGE
+    assert "config key 'sigma_r_rel' matches no flag" in capsys.readouterr().err
+    # a key of another subcommand is allowed: one file may serve several
+    cfg.write_text(json.dumps({"sigma_r": 0.08, "sigma_vth": 0.054, "k_max": 4}))
+    assert run(argv) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["config"]["sigma_r"] == 0.08
+
+
+@pytest.mark.parametrize("text, lineno, message", [
+    ("0,1\n# note\n0,,2\n", 3, "not a comma-separated integer row"),
+    ("0,1\n\n3,2,1\n", 3, "expected 2 symbols, got 3"),
+])
+def test_symbol_csv_names_file_and_line(tmp_path, compiled_encoding_file, capsys,
+                                        text, lineno, message):
+    stored, queries = tmp_path / "s.csv", tmp_path / "q.csv"
+    _write_symbol_csv(stored, [[0, 1], [3, 2]])
+    queries.write_text(text)
+    assert run(["simulate", "--encoding", str(compiled_encoding_file),
+                "--stored", str(stored), "--queries", str(queries)]) == EXIT_ERROR
+    assert f"{queries} line {lineno}: {message}" in capsys.readouterr().err
+
+
 def test_malformed_thread_env_is_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("DMCAM_THREADS", "two")
     assert run(["dm", "--metric", "hamming", "--bits", "1"]) == EXIT_USAGE

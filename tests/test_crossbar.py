@@ -342,13 +342,39 @@ def test_batch_returns_one_answer_per_query(hamming_compiled, hamming_dm):
     rng = np.random.default_rng(14)
     stored = rng.integers(0, 4, (6, 9))
     queries = rng.integers(0, 4, (5, 9))
+    many = rng.integers(0, 4, (2 * crossbar.QUERY_BLOCK + 3, 9))  # more than one block
     for variation in (None, PAPER_SIGMAS):
         cb = Crossbar(hamming_compiled.encoding, stored, variation=variation)
-        found, singles = cb.search(queries), [cb.search(q) for q in queries]
-        assert found.row_currents.tolist() == [s.row_currents.tolist() for s in singles]
-        assert found.winner == [s.winner for s in singles]
-        assert cb.knn(queries, 4) == [cb.knn(q, 4) for q in queries]
+        for batch in (queries, many):
+            found, singles = cb.search(batch), [cb.search(q) for q in batch]
+            assert found.row_currents.tolist() == [s.row_currents.tolist() for s in singles]
+            assert found.winner == [s.winner for s in singles]
+            assert cb.knn(batch, 4) == [cb.knn(q, 4) for q in batch]
         empty = cb.search(queries[:0])
         assert empty.row_currents.shape == (0, 6)
         assert empty.winner == []
         assert cb.knn(queries[:0], 4) == []
+
+
+@pytest.mark.parametrize("rows, dims", [(300, 97), (10, 4096)])  # knn's shape, hdc's shape
+def test_entry_sums_hands_the_kernel_one_block_at_a_time(monkeypatch, rows, dims):
+    rng = np.random.default_rng(rows)
+    table = rng.integers(0, 5, (4, 4))
+    stored = rng.integers(0, 4, (rows, dims)).astype(np.uint8)
+    queries = rng.integers(0, 4, (2 * crossbar.QUERY_BLOCK + 3, dims)).astype(np.uint8)
+    seen = []
+    kernel = crossbar._masked_sums
+
+    def spy(t, masked, other):
+        seen.append((len(masked), len(other)))
+        return kernel(t, masked, other)
+
+    monkeypatch.setattr(crossbar, "_masked_sums", spy)
+    sums = crossbar.entry_sums(table, stored, queries)
+    # whichever operand gets the masks, the other one is the stored array
+    per_call = [masked if other == rows else other for masked, other in seen]
+    assert max(per_call) <= crossbar.QUERY_BLOCK
+    assert sum(per_call) == len(queries)
+    expected = table[queries[:, None, :], stored[None, :, :]].sum(axis=2)
+    assert sums.dtype == np.float64
+    assert np.array_equal(sums, expected)

@@ -61,6 +61,13 @@ def test_bits_limits():
         build_dm(DistanceSpec(MetricKind.HAMMING, 9))
 
 
+@pytest.mark.parametrize("bits", [True, 2.5])
+def test_spec_rejects_non_integer_bits(bits):
+    # True would build the 1-bit matrix, 2.5 would fail inside 1 << bits
+    with pytest.raises(ValueError, match="bits must be an integer"):
+        build_dm(DistanceSpec(MetricKind.HAMMING, bits))
+
+
 def test_literal_hamming_grid_equals_builtin(tmp_path, hamming_dm):
     path = tmp_path / "dm.csv"
     path.write_text("0,1,1,2\n1,0,2,1\n1,2,0,1\n2,1,1,0\n")
