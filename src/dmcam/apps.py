@@ -25,6 +25,12 @@ from .device import VariationParams
 from .encoder import DEFAULT_LADDER, VoltageEncoding, VoltageLadder
 from .metric import DistanceMatrix
 
+# Columns of the HDC projection widened to float64 for one matmul.
+PROJECTION_BLOCK = 1024
+# Values in one temporary block of the projection draw and of a quantizer
+# fit (8 MB of int64 or float64).
+_BLOCK_VALUES = 1 << 20
+
 
 @dataclass(frozen=True)
 class Quantizer:
@@ -55,14 +61,9 @@ class Quantizer:
             raise ValueError("training data must be a (samples, features) matrix")
         if train.size == 0:
             raise ValueError("training data is empty")
-        columns = np.array(train.T, order="C")  # (features, samples), sorted in place
-        columns.sort(axis=1)
-        # A sort puts NaN last and infinities at the ends.
-        if not np.isfinite(columns[:, [0, -1]]).all():
-            raise ValueError("training data must be finite")
         # numpy's "linear" method: virtual index (n - 1) q between two order
         # statistics, clamped to the last one, and its two-sided lerp.
-        n = columns.shape[1]
+        n, features = train.shape
         levels = 1 << bits
         virtual = (n - 1) * (np.arange(1, levels) / levels)
         below = np.floor(virtual)
@@ -70,11 +71,23 @@ class Quantizer:
         last = virtual >= n - 1
         below[last] = above[last] = -1
         gamma = virtual - below
-        lo = columns[:, below.astype(np.intp)]
-        hi = columns[:, above.astype(np.intp)]
-        diff = hi - lo
-        thresholds = lo + diff * gamma  # (features, levels - 1)
-        np.subtract(hi, diff * (1 - gamma), out=thresholds, where=gamma >= 0.5)
+        below, above = below.astype(np.intp), above.astype(np.intp)
+        # F order keeps each level's thresholds contiguous for _counts.
+        thresholds = np.empty((features, levels - 1), order="F")
+        # Sorting a block of features at a time bounds the sorted copy.
+        step = max(1, _BLOCK_VALUES // n)
+        for f in range(0, features, step):
+            columns = np.array(train[:, f:f + step].T, order="C")  # sorted in place
+            columns.sort(axis=1)
+            # A sort puts NaN last and infinities at the ends.
+            if not np.isfinite(columns[:, [0, -1]]).all():
+                raise ValueError("training data must be finite")
+            lo = columns[:, below]
+            hi = columns[:, above]
+            diff = hi - lo
+            block = thresholds[f:f + step]
+            np.add(lo, diff * gamma, out=block)
+            np.subtract(hi, diff * (1 - gamma), out=block, where=gamma >= 0.5)
         return cls(thresholds, bits)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
@@ -261,7 +274,24 @@ class HDCModel:
         Unlike Quantizer.apply, the symbols come in the narrowest unsigned
         dtype that holds levels - 1, so searching them copies nothing.
         """
-        return self.quantizer._counts(np.asarray(x, dtype=np.float64) @ self.projection)
+        return self.quantizer._counts(_project(x, self.projection))
+
+
+def _project(x: np.ndarray, projection: np.ndarray) -> np.ndarray:
+    """x @ projection in float64, PROJECTION_BLOCK columns at a time.
+
+    Each block widens one int8 slice of the projection and takes one matmul
+    into its slice of the result, so no float64 copy of the whole projection
+    exists. The blocks also fix the product's values independently of how
+    the BLAS would split the whole matrix; they still depend on the BLAS
+    build and its thread count.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty(x.shape[:-1] + projection.shape[1:])
+    for c in range(0, projection.shape[1], PROJECTION_BLOCK):
+        cols = slice(c, c + PROJECTION_BLOCK)
+        np.matmul(x, projection[:, cols].astype(np.float64), out=out[..., cols])
+    return out
 
 
 def _score_slack(train_x: np.ndarray, dimension: int) -> np.ndarray:
@@ -315,14 +345,17 @@ def hdc_train(
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     rng = np.random.default_rng(seed)
-    # Draw {0, 1} in the stream's int64, keep it as int8 {-1, +1} and
-    # widen that once for the GEMM.
-    draw = rng.integers(0, 2, (dataset.feature_count, dimension))
-    stored_projection = draw.astype(np.int8)
-    del draw
+    # Draw {0, 1} in the stream's int64 a block of rows at a time and keep it
+    # as int8 {-1, +1}; the blocks continue one stream, so the entries equal
+    # those of a single rng.integers(0, 2, (features, dimension)) call.
+    stored_projection = np.empty((dataset.feature_count, dimension), dtype=np.int8)
+    step = max(1, _BLOCK_VALUES // dimension)
+    for r in range(0, dataset.feature_count, step):
+        rows = stored_projection[r:r + step]
+        rows[...] = rng.integers(0, 2, rows.shape)
     stored_projection *= 2
     stored_projection -= 1
-    projected = dataset.train_x @ stored_projection.astype(np.float64)  # (samples, dimension)
+    projected = _project(dataset.train_x, stored_projection)  # (samples, dimension)
 
     classes = dataset.class_count
     counts = np.bincount(dataset.train_y, minlength=classes).astype(np.float64)

@@ -72,12 +72,22 @@ def _add_device_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--resistance", type=float, default=d.resistance)
 
 
-def _env_threads() -> int:
-    raw = os.environ.get("DMCAM_THREADS", "1")
+def _worker_count(text: str) -> int:
+    """The --threads type: an integer of at least 1."""
     try:
-        return int(raw)
+        value = int(text)
     except ValueError:
-        raise SystemExit2(f"DMCAM_THREADS must be an integer, got {raw!r}") from None
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _env_threads() -> int:
+    try:
+        return _worker_count(os.environ.get("DMCAM_THREADS", "1"))
+    except argparse.ArgumentTypeError as exc:
+        raise SystemExit2(f"DMCAM_THREADS {exc}") from None
 
 
 def build_parser(defaults: dict | None = None) -> _Parser:
@@ -87,7 +97,7 @@ def build_parser(defaults: dict | None = None) -> _Parser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument(
         "--threads",
-        type=int,
+        type=_worker_count,
         default=_env_threads(),
         help="worker cap for parallelizable stages",
     )
@@ -180,7 +190,7 @@ def _config_value(action: argparse.Action, value):
     elif isinstance(value, (int, float)) and action.type:
         try:
             valid = action.type(str(value)) == value
-        except ValueError:
+        except (ValueError, argparse.ArgumentTypeError):
             valid = False
     else:
         valid = isinstance(value, str) or (value is None and action.default is None)
@@ -233,7 +243,8 @@ def _ladder_from_args(args: argparse.Namespace) -> VoltageLadder:
     )
 
 
-def _load_symbol_csv(path: str) -> list[list[int]]:
+def _load_symbol_csv(path: str, width: int | None = None) -> list[list[int]]:
+    """Rows of comma-separated integers, each as long as the first or as width."""
     rows = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
@@ -243,8 +254,10 @@ def _load_symbol_csv(path: str) -> list[list[int]]:
             rows.append([int(c) for c in line.split(",")])
         except ValueError as exc:
             raise ValueError(f"{path} line {lineno}: not a comma-separated integer row") from exc
-        if len(rows[-1]) != len(rows[0]):
-            raise ValueError(f"{path} line {lineno}: expected {len(rows[0])} symbols, got {len(rows[-1])}")
+        want = width or len(rows[0])
+        if len(rows[-1]) != want:
+            raise ValueError(f"{path} line {lineno}: expected {want} symbol{'s' * (want != 1)}, "
+                             f"got {len(rows[-1])}")
     if not rows:
         raise ValueError(f"{path}: no symbol rows")
     return rows
@@ -346,12 +359,12 @@ def cmd_mc(args) -> int:
     queries = _load_symbol_csv(args.queries)
     ladder = _ladder_from_args(args)
     if args.expected:
-        expected = [row[0] for row in _load_symbol_csv(args.expected)]
+        expected = [row[0] for row in _load_symbol_csv(args.expected, width=1)]
     else:
         expected = Crossbar(encoding, stored, ladder).search(queries).winner
     result = monte_carlo(
         encoding, stored, queries, expected, _variation_from_args(args), args.runs,
-        ladder=ladder, workers=max(args.threads, 1),
+        ladder=ladder, workers=args.threads,
     )
     if args.out:
         config_line = "# config: " + json.dumps(_config_dict(args), sort_keys=True, default=str)

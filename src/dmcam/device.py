@@ -14,6 +14,7 @@ allocate no arrays of that size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,8 @@ class VariationParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.sigma_vth < 0 or self.sigma_r_rel < 0:
-            raise ValueError("sigmas must be nonnegative")
+        if not all(math.isfinite(s) and s >= 0 for s in (self.sigma_vth, self.sigma_r_rel)):
+            raise ValueError("sigmas must be finite and nonnegative")
 
 
 def conduct(vgs, vds, vth, resistance, out=None) -> np.ndarray:

@@ -69,7 +69,11 @@ class CurrentRange:
 
     @classmethod
     def parse(cls, text: str) -> "CurrentRange":
-        return cls(tuple(int(part) for part in text.split(",") if part.strip() != ""))
+        """Comma-separated multiples such as "0,1,2"; an empty part is an error."""
+        parts = text.split(",")
+        if not all(part.strip() for part in parts):
+            raise ValueError(f"current levels {text!r} hold an empty part")
+        return cls(tuple(int(part) for part in parts))
 
     @classmethod
     def covering(cls, max_entry: int) -> "CurrentRange":

@@ -1,8 +1,13 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dmcam import apps
 from dmcam.apps import (
     HDCModel,
     Quantizer,
@@ -60,6 +65,36 @@ def test_quantizer_rejects_non_finite_and_empty_training_data():
             Quantizer.fit(empty, bits=2)
     with pytest.raises(ValueError):
         Quantizer.fit(train[0], bits=2)
+
+
+def _linear_quantiles(train, bits):
+    levels = 1 << bits
+    return np.quantile(train, np.arange(1, levels) / levels, axis=0).T
+
+
+@pytest.mark.parametrize("block_values", [1, 90, 300])
+def test_quantizer_fit_in_feature_blocks_equals_numpy(monkeypatch, block_values):
+    # 30 samples: blocks of 1, 3 or 10 of the 17 features; with 3 and 10 the
+    # last block is short
+    train = np.random.default_rng(7).normal(size=(30, 17))
+    monkeypatch.setattr(apps, "_BLOCK_VALUES", block_values)
+    thresholds = Quantizer.fit(train, bits=2).thresholds
+    assert np.array_equal(thresholds, _linear_quantiles(train, 2))
+    assert thresholds.flags.f_contiguous
+
+
+def test_quantizer_fit_spanning_default_blocks_equals_numpy():
+    train = np.random.default_rng(8).uniform(-5.0, 5.0, (2000, 1100))  # 524 features a block
+    assert np.array_equal(Quantizer.fit(train, bits=3).thresholds, _linear_quantiles(train, 3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_quantizer_non_finite_value_in_a_later_block_rejected(monkeypatch, bad):
+    train = np.random.default_rng(9).normal(size=(10, 12))
+    train[4, 11] = bad  # in the last of four 3-feature blocks
+    monkeypatch.setattr(apps, "_BLOCK_VALUES", 30)
+    with pytest.raises(ValueError, match="training data must be finite"):
+        Quantizer.fit(train, bits=2)
 
 
 # -- software twins -------------------------------------------------------------
@@ -174,6 +209,61 @@ def test_hdc_single_sample_classes_store_their_projection():
     model = hdc_train(ds, dimension=64, bits=2, epochs=0, seed=5)
     projected = x @ model.projection.astype(np.float64)
     assert np.array_equal(model.class_vectors, projected)
+
+
+@pytest.mark.parametrize("dimension", [1000, 2500, 10000])
+def test_projection_equals_its_1024_column_blocks(dimension):
+    # The formula of the benchmark's reference predictions, bit for bit.
+    rng = np.random.default_rng(dimension)
+    x = rng.uniform(0.0, 255.0, (40, 784))
+    projection = (rng.integers(0, 2, (784, dimension)) * 2 - 1).astype(np.int8)
+    reference = np.empty((len(x), dimension))
+    for c in range(0, dimension, 1024):
+        reference[:, c:c + 1024] = x @ projection[:, c:c + 1024].astype(np.float64)
+    assert np.array_equal(apps._project(x, projection), reference)
+
+
+@pytest.mark.parametrize("features, dimension, block_values", [
+    (784, 10000, 1 << 20),  # blocks of 104 rows, the last of 56
+    (64, 300, 1000),  # blocks of 3 rows, the last of 1
+    (13, 70, 300),  # blocks of 4 rows, the last of 1
+    (5, 64, 10),  # one row a block
+])
+def test_projection_drawn_in_row_blocks_equals_one_draw(monkeypatch, features, dimension,
+                                                        block_values):
+    x = np.random.default_rng(1).uniform(0.0, 255.0, (4, features))
+    ds = Dataset("toy", x, np.array([0, 1, 0, 1]), x, np.array([0, 1, 0, 1]))
+    monkeypatch.setattr(apps, "_BLOCK_VALUES", block_values)
+    model = hdc_train(ds, dimension=dimension, bits=2, seed=3)
+    draw = np.random.default_rng(3).integers(0, 2, (features, dimension))
+    assert model.projection.dtype == np.int8
+    assert np.array_equal(model.projection, draw * 2 - 1)
+
+
+# Trains and encodes at the hdc benchmark's shape, then reports the peak
+# resident set size of this process image in KB: VmHWM, which starts afresh at
+# exec, where ru_maxrss would keep the peak of the forking test process.
+_HDC_PEAK_RSS = """
+from dmcam.apps import hdc_train
+from dmcam.datasets import synthetic_digits
+ds = synthetic_digits(1000, 200, 784, seed=0)
+model = hdc_train(ds, dimension=10000, bits=2, epochs=2, seed=0)
+model.encode(ds.test_x)
+print(next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))
+"""
+
+
+def test_hdc_train_and_encode_hold_no_full_size_copies():
+    # The projected training set (80 MB) is the one full-size float64 array:
+    # a whole float64 projection, int64 draw or transposed fit copy would
+    # each add about 63-80 MB.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _HDC_PEAK_RSS], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    peak_mb = int(proc.stdout) / 1024
+    assert peak_mb < 180, f"peak RSS {peak_mb:.0f} MB"
 
 
 def test_hdc_train_deterministic():

@@ -527,6 +527,66 @@ def test_malformed_thread_env_is_usage_error(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("dmcam: error: DMCAM_THREADS")
 
 
+@pytest.mark.parametrize("env, flags", [
+    ("0", []), ("-3", []), ("1", ["--threads", "0"]), ("1", ["--threads", "-3"]),
+])
+def test_thread_count_below_one_is_usage_error(tmp_path, compiled_encoding_file, monkeypatch,
+                                                capsys, env, flags):
+    stored, queries = tmp_path / "s.csv", tmp_path / "q.csv"
+    _write_symbol_csv(stored, [[0, 1], [3, 2]])
+    _write_symbol_csv(queries, [[0, 1]])
+    monkeypatch.setenv("DMCAM_THREADS", env)
+    assert run(["mc", "--encoding", str(compiled_encoding_file), "--stored", str(stored),
+                "--queries", str(queries), "--runs", "2", *flags]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "must be at least 1" in err
+    assert ("--threads" if flags else "DMCAM_THREADS") in err
+
+
+def test_config_thread_count_below_one_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": 0}))
+    assert run(["--config", str(cfg), "dm", "--metric", "hamming", "--bits", "1"]) == EXIT_USAGE
+    assert "config key 'threads': invalid value 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--sigma-vth", "nan"), ("--sigma-vth", "inf"), ("--sigma-r", "nan"), ("--sigma-r", "inf"),
+])
+@pytest.mark.parametrize("command", ["simulate", "mc", "bench"])
+def test_non_finite_sigma_is_rejected(tmp_path, compiled_encoding_file, capsys, command,
+                                      flag, value):
+    stored, queries = tmp_path / "s.csv", tmp_path / "q.csv"
+    _write_symbol_csv(stored, [[0, 1], [3, 2]])
+    _write_symbol_csv(queries, [[0, 1]])
+    if command == "bench":
+        argv = ["bench", "--pipeline", "knn", "--train-size", "20", "--test-size", "5",
+                "--metric", "hamming", "--k-max", "4"]
+    else:
+        argv = [command, "--encoding", str(compiled_encoding_file), "--stored", str(stored),
+                "--queries", str(queries)] + (["--runs", "2"] if command == "mc" else [])
+    assert run([*argv, flag, value]) == EXIT_ERROR
+    assert "sigmas must be finite and nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("levels", ["0,,2", "0,1,2,", ",0,1", "0, ,1"])
+def test_compile_levels_with_an_empty_part_is_rejected(levels, capsys):
+    assert run(["compile", "--metric", "hamming", "--bits", "2", "--levels", levels]) == EXIT_ERROR
+    assert f"current levels {levels!r} hold an empty part" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, lineno", [("1,2\n", 1), ("0\n0,1\n", 2)], ids=["first", "later"])
+def test_mc_expected_row_must_hold_one_winner(tmp_path, compiled_encoding_file, capsys,
+                                              text, lineno):
+    stored, queries, expected = tmp_path / "s.csv", tmp_path / "q.csv", tmp_path / "e.csv"
+    _write_symbol_csv(stored, [[0, 0], [3, 3], [1, 2]])
+    _write_symbol_csv(queries, [[0, 0], [1, 2]][:text.count("\n")])
+    expected.write_text(text)
+    assert run(["mc", "--encoding", str(compiled_encoding_file), "--stored", str(stored),
+                "--queries", str(queries), "--expected", str(expected), "--runs", "2"]) == EXIT_ERROR
+    assert f"{expected} line {lineno}: expected 1 symbol, got 2" in capsys.readouterr().err
+
+
 def test_simulate_rejects_saturating_ladder(tmp_path, compiled_encoding_file, capsys):
     stored = tmp_path / "stored.csv"
     queries = tmp_path / "queries.csv"

@@ -57,10 +57,11 @@ def test_conduct_piecewise_constant_in_vgs():
 
 
 def test_variation_params_validation():
-    with pytest.raises(ValueError):
-        VariationParams(sigma_vth=-0.1)
-    with pytest.raises(ValueError):
-        VariationParams(sigma_r_rel=-0.1)
+    for bad in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            VariationParams(sigma_vth=bad)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            VariationParams(sigma_r_rel=bad)
 
 
 def test_zero_sigma_returns_nominal():

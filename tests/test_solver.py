@@ -54,6 +54,9 @@ def test_current_range_rejects_non_integers():
 
 def test_current_range_parse_and_covering():
     assert CurrentRange.parse("0,1,2").multiples == (0, 1, 2)
+    assert CurrentRange.parse(" 0, 1 ,2 ").multiples == (0, 1, 2)
+    with pytest.raises(ValueError, match="empty part"):
+        CurrentRange.parse("0,,2")
     assert CurrentRange.covering(3).multiples == (0, 1, 2, 3)
     assert CurrentRange.covering(0).multiples == (0, 1)
 
