@@ -33,7 +33,7 @@ from .encoder import (
     load_encoding,
     verify_encoding,
 )
-from .metric import DistanceSpec, MetricKind, build_dm, dm_to_csv, load_custom_dm
+from .metric import DistanceSpec, MetricKind, build_dm, csv_rows, dm_to_csv, load_custom_dm
 from .solver import (
     DEFAULT_NODE_BUDGET,
     BudgetExceededError,
@@ -168,14 +168,31 @@ def build_parser(defaults: dict | None = None) -> _Parser:
     p.add_argument("--predictions", help="per-query prediction CSV path")
 
     if defaults:
-        parsers = [parser, *sub.choices.values()]
-        unknown = sorted(defaults.keys() - {a.dest for p in parsers for a in p._actions})
+        flags = [a for p in (parser, *sub.choices.values()) for a in p._actions if a.option_strings]
+        unknown = sorted(defaults.keys() - {a.dest for a in flags})
         if unknown:
             raise SystemExit2(f"config key {unknown[0]!r} matches no flag")
-        for p in parsers:
-            p.set_defaults(**{a.dest: _config_value(a, defaults[a.dest])
-                              for a in p._actions if a.dest in defaults})
+        for a in flags:
+            if a.dest in defaults:  # a flag the file supplies is no longer required
+                a.default, a.required = _config_value(a, defaults[a.dest]), False
     return parser
+
+
+def _config_defaults(argv: list[str]) -> dict | None:
+    """Flag defaults from the --config file named before the subcommand, if any."""
+    pre = _Parser(prog="dmcam", add_help=False)
+    pre.add_argument("--config")
+    pre.add_argument("rest", nargs=argparse.REMAINDER)  # the subcommand and its flags
+    path = pre.parse_known_args(argv)[0].config
+    if not path:
+        return None
+    try:
+        defaults = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if not isinstance(defaults, dict):
+        raise SystemExit2(f"{path}: config file must hold a JSON object of flag defaults")
+    return defaults
 
 
 def _config_value(action: argparse.Action, value):
@@ -244,23 +261,7 @@ def _ladder_from_args(args: argparse.Namespace) -> VoltageLadder:
 
 
 def _load_symbol_csv(path: str, width: int | None = None) -> list[list[int]]:
-    """Rows of comma-separated integers, each as long as the first or as width."""
-    rows = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            rows.append([int(c) for c in line.split(",")])
-        except ValueError as exc:
-            raise ValueError(f"{path} line {lineno}: not a comma-separated integer row") from exc
-        want = width or len(rows[0])
-        if len(rows[-1]) != want:
-            raise ValueError(f"{path} line {lineno}: expected {want} symbol{'s' * (want != 1)}, "
-                             f"got {len(rows[-1])}")
-    if not rows:
-        raise ValueError(f"{path}: no symbol rows")
-    return rows
+    return csv_rows(Path(path).read_text(), path, width=width, cell="symbol")
 
 
 def _json_dump(data: dict) -> str:
@@ -334,30 +335,31 @@ def cmd_oracle(args) -> int:
     return EXIT_OK if feasible else EXIT_INFEASIBLE
 
 
+def _array_inputs(args):
+    """The encoding, stored rows, query rows and ladder that simulate and mc program."""
+    return (load_encoding(args.encoding), _load_symbol_csv(args.stored),
+            _load_symbol_csv(args.queries), _ladder_from_args(args))
+
+
+def _config_line(args) -> str:
+    return "# config: " + json.dumps(_config_dict(args), sort_keys=True, default=str) + "\n"
+
+
 def cmd_simulate(args) -> int:
-    encoding = load_encoding(args.encoding)
-    stored = _load_symbol_csv(args.stored)
-    queries = _load_symbol_csv(args.queries)
-    ladder = _ladder_from_args(args)
+    encoding, stored, queries, ladder = _array_inputs(args)
     cb = Crossbar(encoding, stored, ladder, variation=_variation_from_args(args))
-    lines = [
-        "# config: " + json.dumps(_config_dict(args), sort_keys=True, default=str),
-        "query,row,current_a,current_units,winner",
-    ]
+    lines = ["query,row,current_a,current_units,winner"]
     found = cb.search(queries)
     for qi, (currents, winner) in enumerate(zip(found.row_currents.tolist(), found.winner)):
         for row, current in enumerate(currents):
             units = current / ladder.unit_current
             lines.append(f"{qi},{row},{current:.12e},{units:.6f},{int(row == winner)}")
-    _write_or_print("\n".join(lines) + "\n", args.out)
+    _write_or_print(_config_line(args) + "\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_mc(args) -> int:
-    encoding = load_encoding(args.encoding)
-    stored = _load_symbol_csv(args.stored)
-    queries = _load_symbol_csv(args.queries)
-    ladder = _ladder_from_args(args)
+    encoding, stored, queries, ladder = _array_inputs(args)
     if args.expected:
         expected = [row[0] for row in _load_symbol_csv(args.expected, width=1)]
     else:
@@ -367,8 +369,7 @@ def cmd_mc(args) -> int:
         ladder=ladder, workers=args.threads,
     )
     if args.out:
-        config_line = "# config: " + json.dumps(_config_dict(args), sort_keys=True, default=str)
-        Path(args.out).write_text(config_line + "\n" + result.to_csv())
+        Path(args.out).write_text(_config_line(args) + result.to_csv())
     report = {
         "config": _config_dict(args),
         "accuracy": result.accuracy,
@@ -443,12 +444,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(argv)
-        if args.config:
-            defaults = json.loads(Path(args.config).read_text())
-            if not isinstance(defaults, dict):
-                raise SystemExit2("config file must hold a JSON object of flag defaults")
-            args = build_parser(defaults).parse_args(argv)
+        args = build_parser(_config_defaults(argv)).parse_args(argv)
         return _COMMANDS[args.command](args)
     except SystemExit as exc:  # argparse exits (usage errors, --help)
         return int(exc.code) if exc.code is not None else 0
@@ -464,7 +460,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"dmcam: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"dmcam: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .metric import csv_rows
+
 IDX_UBYTE = 0x08
 
 
@@ -141,24 +143,10 @@ def load_mnist(
 
 
 def load_csv_dataset(train_path: str | Path, test_path: str | Path) -> Dataset:
-    """Rows of 'feature,...,feature,label'; '#' lines are skipped."""
-
-    def read(path):
-        feats, labels = [], []
-        for raw in Path(path).read_text().splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            cells = [float(c) for c in line.split(",")]
-            feats.append(cells[:-1])
-            labels.append(cells[-1])
-        if not feats:
-            raise ValueError(f"{path}: no data rows")
-        return np.asarray(feats), np.asarray(labels)
-
-    train_x, train_y = read(train_path)
-    test_x, test_y = read(test_path)
-    return Dataset("csv", train_x, train_y, test_x, test_y)
+    """Rows of 'feature,...,feature,label'; blank and '#' lines are skipped."""
+    train, test = (np.asarray(csv_rows(Path(p).read_text(), p, float))
+                   for p in (train_path, test_path))
+    return Dataset("csv", train[:, :-1], train[:, -1], test[:, :-1], test[:, -1])
 
 
 def synthetic_digits(

@@ -94,26 +94,19 @@ def derive_encoding(ga: GlobalAssignment) -> VoltageEncoding:
 
     for i in range(k):
         masks = [r.masks[i] for r in rows]
-        chain = sorted(set(masks), key=int.bit_count)
+        # The all-off set heads the chain even if no row uses it: a row's gate rank
+        # is its set's index, a column's threshold rank one below the first set holding it.
+        chain = sorted(set(masks) | {0}, key=int.bit_count)
         for a, b in zip(chain, chain[1:]):
             if a & ~b:
                 raise RuntimeError(
                     f"branch {i}: on-sets are not an inclusion chain; "
                     "the assignment violates the threshold-ordering rule"
                 )
-        has_empty = chain[0] == 0
-        # Gate ranks count how many distinct threshold levels a row beats.
-        # When no row leaves the branch fully off, rank 0 is simply unused.
-        gate_rank = {mask: idx + (0 if has_empty else 1) for idx, mask in enumerate(chain)}
-        never_rank = len(chain) - 1 if has_empty else len(chain)
         for t in range(n):
-            first = next((idx for idx, mask in enumerate(chain) if mask >> t & 1), None)
-            if first is None:
-                vth[t][i] = never_rank
-            else:
-                vth[t][i] = first - 1 if has_empty else first
+            vth[t][i] = next((j for j, mask in enumerate(chain) if mask >> t & 1), len(chain)) - 1
         for s in range(m):
-            vgs[s][i] = gate_rank[masks[s]]
+            vgs[s][i] = chain.index(masks[s])
             if rows[s].fet_values[i]:
                 vds[s][i] = rows[s].fet_values[i]
 
@@ -273,7 +266,11 @@ def import_encoding(source: str | dict) -> VoltageEncoding:
 
 
 def load_encoding(path: str | Path) -> VoltageEncoding:
-    return import_encoding(Path(path).read_text())
+    """import_encoding on a file; an invalid encoding's message starts with the path."""
+    try:
+        return import_encoding(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def encoding_table_csv(enc: VoltageEncoding, bits: int | None = None) -> str:

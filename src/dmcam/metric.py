@@ -111,25 +111,40 @@ def build_dm(spec: DistanceSpec) -> DistanceMatrix:
     )
 
 
-def parse_dm_csv(text: str) -> DistanceMatrix:
-    """Parse comma-separated integer rows; lines starting with '#' are skipped."""
+def csv_rows(text: str, source, convert=int, width: int | None = None,
+             cell: str = "value") -> list[list]:
+    """Comma-separated rows of text, each cell through convert; blank and '#' lines are skipped.
+
+    Every row holds width cells, or as many as the first; any failure raises
+    ValueError naming source (and the line), with cell naming what a cell holds.
+    """
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            rows.append(tuple(int(cell.strip()) for cell in line.split(",")))
+            rows.append([convert(c) for c in line.split(",")])
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: not a comma-separated integer row") from exc
+            kind = "integer" if convert is int else "number"
+            raise ValueError(f"{source} line {lineno}: not a comma-separated {kind} row") from exc
+        want = width or len(rows[0])
+        if len(rows[-1]) != want:
+            raise ValueError(f"{source} line {lineno}: expected {want} {cell}{'s' * (want != 1)}, "
+                             f"got {len(rows[-1])}")
     if not rows:
-        raise ValueError("no matrix rows found")
-    return DistanceMatrix(tuple(rows))
+        raise ValueError(f"{source}: no data rows")
+    return rows
+
+
+def parse_dm_csv(text: str, source="distance matrix CSV") -> DistanceMatrix:
+    """Parse comma-separated integer rows; lines starting with '#' are skipped."""
+    return DistanceMatrix(csv_rows(text, source))
 
 
 def load_custom_dm(source: str | Path) -> DistanceMatrix:
     """Load a custom matrix from CSV. Symmetry is not required."""
-    return parse_dm_csv(Path(source).read_text())
+    return parse_dm_csv(Path(source).read_text(), source)
 
 
 def dm_to_csv(dm: DistanceMatrix) -> str:

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +55,30 @@ def sq_euclid_compiled(sq_euclid_dm):
     result = compile_dm(sq_euclid_dm, k_max=6)
     assert result.feasible
     return result
+
+
+# Prints the peak resident set size of this process image in KB on the last
+# line of stderr at exit: VmHWM, which starts afresh at exec, where ru_maxrss
+# would keep the peak of the forking test process.
+_REPORT_PEAK = """
+import atexit, sys
+atexit.register(lambda: print(next(line.split()[1] for line in open("/proc/self/status")
+                                   if line.startswith("VmHWM:")), file=sys.stderr))
+"""
+
+
+@pytest.fixture(scope="session")
+def peak_rss_mb():
+    """Runs Python code (and its argv) in a fresh interpreter that imports dmcam
+    from this tree, asserts it exits 0 and returns its peak resident set in MB."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def run(code, *args):
+        proc = subprocess.run([sys.executable, "-c", _REPORT_PEAK + code, *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stderr.split()[-1]) / 1024
+
+    return run

@@ -1,8 +1,4 @@
 import hashlib
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,29 +236,21 @@ def test_projection_drawn_in_row_blocks_equals_one_draw(monkeypatch, features, d
     assert np.array_equal(model.projection, draw * 2 - 1)
 
 
-# Trains and encodes at the hdc benchmark's shape, then reports the peak
-# resident set size of this process image in KB: VmHWM, which starts afresh at
-# exec, where ru_maxrss would keep the peak of the forking test process.
-_HDC_PEAK_RSS = """
+# Trains and encodes at the hdc benchmark's shape.
+_HDC_TRAIN_AND_ENCODE = """
 from dmcam.apps import hdc_train
 from dmcam.datasets import synthetic_digits
 ds = synthetic_digits(1000, 200, 784, seed=0)
 model = hdc_train(ds, dimension=10000, bits=2, epochs=2, seed=0)
 model.encode(ds.test_x)
-print(next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))
 """
 
 
-def test_hdc_train_and_encode_hold_no_full_size_copies():
+def test_hdc_train_and_encode_hold_no_full_size_copies(peak_rss_mb):
     # The projected training set (80 MB) is the one full-size float64 array:
     # a whole float64 projection, int64 draw or transposed fit copy would
     # each add about 63-80 MB.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _HDC_PEAK_RSS], env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    peak_mb = int(proc.stdout) / 1024
+    peak_mb = peak_rss_mb(_HDC_TRAIN_AND_ENCODE)
     assert peak_mb < 180, f"peak RSS {peak_mb:.0f} MB"
 
 

@@ -1,9 +1,5 @@
 import hashlib
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -102,32 +98,20 @@ def test_compile_verifies_once(tmp_path, monkeypatch):
     assert digest == COMPILE_REPORT_SHA256
 
 
-# Runs the CLI, then reports the process's peak resident set size
-# (ru_maxrss, in KB on Linux) on the last line of stderr.
-_PEAK_RSS_WRAPPER = """
-import resource, sys
+_RUN_CLI = """
+import sys
 from dmcam.cli import main
-code = main(sys.argv[1:])
-print(f"peak_rss_kb={resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}", file=sys.stderr)
-sys.exit(code)
+sys.exit(main(sys.argv[1:]))
 """
 
 
-def test_compile_3bit_hamming_reaches_k4(tmp_path):
+def test_compile_3bit_hamming_reaches_k4(tmp_path, peak_rss_mb):
     # A separate process with a hard timeout and a memory bound: a compile
     # that hangs in AC-3 or extraction, or that holds its row domains in a
     # heavier form, fails here instead of stalling the suite.
     enc, report = tmp_path / "E.json", tmp_path / "R.json"
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS_WRAPPER, "compile", "--metric", "hamming", "--bits", "3",
-         "--out", str(enc), "--report", str(report)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == EXIT_OK, proc.stderr
-    peak_mb = int(proc.stderr.rsplit("peak_rss_kb=", 1)[1]) / 1024
+    peak_mb = peak_rss_mb(_RUN_CLI, "compile", "--metric", "hamming", "--bits", "3",
+                          "--out", str(enc), "--report", str(report))
     assert peak_mb < 340, f"peak RSS {peak_mb:.0f} MB"
     assert json.loads(report.read_text())["min_k"] == 4
     # Recompute every cell from the JSON alone: branch i conducts its drain
@@ -507,18 +491,89 @@ def test_config_key_of_no_flag_is_usage_error(tmp_path, compiled_encoding_file, 
     assert json.loads(capsys.readouterr().out)["config"]["sigma_r"] == 0.08
 
 
-@pytest.mark.parametrize("text, lineno, message", [
-    ("0,1\n# note\n0,,2\n", 3, "not a comma-separated integer row"),
-    ("0,1\n\n3,2,1\n", 3, "expected 2 symbols, got 3"),
-])
-def test_symbol_csv_names_file_and_line(tmp_path, compiled_encoding_file, capsys,
-                                        text, lineno, message):
+@pytest.mark.parametrize("command, config", [
+    (["simulate"], {"encoding": None, "stored": None, "queries": None}),
+    (["bench", "--train-size", "20", "--test-size", "5", "--metric", "hamming", "--k-max", "4"],
+     {"pipeline": "knn"}),
+    (["oracle", "--metric", "hamming"], {"k": 3}),
+], ids=["simulate", "bench", "oracle"])
+def test_config_supplies_required_flags(tmp_path, compiled_encoding_file, capsys,
+                                        command, config):
     stored, queries = tmp_path / "s.csv", tmp_path / "q.csv"
     _write_symbol_csv(stored, [[0, 1], [3, 2]])
-    queries.write_text(text)
-    assert run(["simulate", "--encoding", str(compiled_encoding_file),
-                "--stored", str(stored), "--queries", str(queries)]) == EXIT_ERROR
-    assert f"{queries} line {lineno}: {message}" in capsys.readouterr().err
+    _write_symbol_csv(queries, [[0, 1]])
+    files = {"encoding": compiled_encoding_file, "stored": stored, "queries": queries}
+    config = {key: str(files[key]) if key in files else value for key, value in config.items()}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["--config", str(cfg), *command]) == EXIT_OK
+    from_file = capsys.readouterr().out
+    flags = [text for key, value in config.items() for text in (f"--{key}", str(value))]
+    assert run([*command, *flags]) == EXIT_OK
+    assert capsys.readouterr().out == from_file
+
+
+def test_config_required_flag_rules(tmp_path, compiled_encoding_file, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k": 5, "stored": "s.csv"}))
+    assert run(["--config", str(cfg), "oracle", "--metric", "hamming", "--bits", "1",
+                "--k", "2"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["config"]["k"] == 2  # the flag wins
+    assert run(["--config", str(cfg), "simulate"]) == EXIT_USAGE
+    assert "the following arguments are required: --encoding, --queries" in capsys.readouterr().err
+    for path in (cfg, tmp_path / "absent.json"):  # --config belongs before the subcommand
+        assert run(["oracle", "--metric", "hamming", "--k", "3", "--config", str(path)]) == EXIT_USAGE
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"command": "dm"}))
+    assert run(["--config", str(cfg)]) == EXIT_USAGE
+    assert "config key 'command' matches no flag" in capsys.readouterr().err
+
+
+def test_malformed_json_inputs_name_their_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"k": 1,}')
+    assert run(["verify", "--metric", "hamming", "--encoding", str(bad)]) == EXIT_ERROR
+    assert f"dmcam: error: {bad}: encoding JSON is malformed: " in capsys.readouterr().err
+    assert run(["--config", str(bad), "dm", "--metric", "hamming"]) == EXIT_ERROR
+    assert f"dmcam: error: {bad}: Expecting property name" in capsys.readouterr().err
+    bad.write_text("[1]")
+    assert run(["--config", str(bad), "dm", "--metric", "hamming"]) == EXIT_USAGE
+    assert f"{bad}: config file must hold a JSON object" in capsys.readouterr().err
+
+
+# Every CSV input goes through one reader: a bad cell, a row of the wrong
+# width or a file with no row exits 1 naming the file (and the line).
+@pytest.mark.parametrize("flag, text, lineno, message", [
+    pytest.param("--queries", "0,1\n# note\n0,,2\n", 3, "not a comma-separated integer row",
+                 id="0,1\n# note\n0,,2\n-3-not a comma-separated integer row"),
+    pytest.param("--queries", "0,1\n\n3,2,1\n", 3, "expected 2 symbols, got 3",
+                 id="0,1\n\n3,2,1\n-3-expected 2 symbols, got 3"),
+    pytest.param("--queries", "# none\n\n", None, "no data rows", id="queries-empty"),
+    pytest.param("--custom", "0,1\n1,x\n", 2, "not a comma-separated integer row", id="custom-cell"),
+    pytest.param("--custom", "0,1\n1\n", 2, "expected 2 values, got 1", id="custom-width"),
+    pytest.param("--custom", "# none\n", None, "no data rows", id="custom-empty"),
+    pytest.param("--train-csv", "0,1,0\n1,x,1\n", 2, "not a comma-separated number row",
+                 id="train-cell"),
+    pytest.param("--train-csv", "0,1,0\n1,1\n", 2, "expected 3 values, got 2", id="train-width"),
+    pytest.param("--train-csv", "\n", None, "no data rows", id="train-empty"),
+])
+def test_symbol_csv_names_file_and_line(tmp_path, compiled_encoding_file, capsys,
+                                        flag, text, lineno, message):
+    stored, queries, test = tmp_path / "s.csv", tmp_path / "q.csv", tmp_path / "test.csv"
+    _write_symbol_csv(stored, [[0, 1], [3, 2]])
+    test.write_text("0,1,0\n1,0,1\n")
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    argv = {
+        "--queries": ["simulate", "--encoding", str(compiled_encoding_file),
+                      "--stored", str(stored)],
+        "--custom": ["dm"],
+        "--train-csv": ["bench", "--pipeline", "knn", "--dataset", "csv", "--test-csv", str(test),
+                        "--metric", "hamming"],
+    }[flag]
+    assert run([*argv, flag, str(bad)]) == EXIT_ERROR
+    where = str(bad) if lineno is None else f"{bad} line {lineno}"
+    assert f"{where}: {message}" in capsys.readouterr().err
 
 
 def test_malformed_thread_env_is_usage_error(monkeypatch, capsys):
