@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import apps, datasets
 from .compiler import compile_dm
-from .crossbar import Crossbar, monte_carlo
+from .crossbar import Crossbar, checked_symbols, monte_carlo
 from .device import VariationParams
 from .encoder import (
     DEFAULT_LADDER,
@@ -33,7 +33,15 @@ from .encoder import (
     load_encoding,
     verify_encoding,
 )
-from .metric import DistanceSpec, MetricKind, build_dm, csv_rows, dm_to_csv, load_custom_dm
+from .metric import (
+    DistanceSpec,
+    MetricKind,
+    build_dm,
+    csv_rows,
+    dm_to_csv,
+    load_custom_dm,
+    read_input,
+)
 from .solver import (
     DEFAULT_NODE_BUDGET,
     BudgetExceededError,
@@ -187,7 +195,7 @@ def _config_defaults(argv: list[str]) -> dict | None:
     if not path:
         return None
     try:
-        defaults = json.loads(Path(path).read_text())
+        defaults = json.loads(read_input(path))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(defaults, dict):
@@ -261,7 +269,16 @@ def _ladder_from_args(args: argparse.Namespace) -> VoltageLadder:
 
 
 def _load_symbol_csv(path: str, width: int | None = None) -> list[list[int]]:
-    return csv_rows(Path(path).read_text(), path, width=width, cell="symbol")
+    return csv_rows(read_input(path), path, width=width, cell="symbol")
+
+
+def _load_symbols(path: str, levels: int, error: str):
+    """A symbol CSV as checked symbols; one outside [0, levels) raises ValueError naming the file."""
+    rows = _load_symbol_csv(path)
+    try:
+        return checked_symbols(rows, levels, error)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _json_dump(data: dict) -> str:
@@ -337,8 +354,10 @@ def cmd_oracle(args) -> int:
 
 def _array_inputs(args):
     """The encoding, stored rows, query rows and ladder that simulate and mc program."""
-    return (load_encoding(args.encoding), _load_symbol_csv(args.stored),
-            _load_symbol_csv(args.queries), _ladder_from_args(args))
+    encoding = load_encoding(args.encoding)
+    stored = _load_symbols(args.stored, encoding.n, "stored symbols must lie in [0, n)")
+    queries = _load_symbols(args.queries, encoding.m, "query symbols must lie in [0, m)")
+    return encoding, stored, queries, _ladder_from_args(args)
 
 
 def _config_line(args) -> str:

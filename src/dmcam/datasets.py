@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .metric import csv_rows
+from .metric import csv_rows, read_input
 
 IDX_UBYTE = 0x08
 
@@ -143,10 +143,19 @@ def load_mnist(
 
 
 def load_csv_dataset(train_path: str | Path, test_path: str | Path) -> Dataset:
-    """Rows of 'feature,...,feature,label'; blank and '#' lines are skipped."""
-    train, test = (np.asarray(csv_rows(Path(p).read_text(), p, float))
-                   for p in (train_path, test_path))
-    return Dataset("csv", train[:, :-1], train[:, -1], test[:, :-1], test[:, -1])
+    """Rows of 'feature,...,feature,label'; blank and '#' lines are skipped.
+
+    A label that is not an integer raises ValueError naming its file.
+    """
+    splits = []
+    for split, path in (("train", train_path), ("test", test_path)):
+        rows = np.asarray(csv_rows(read_input(path), path, float))
+        try:
+            splits += [rows[:, :-1], _integer_labels(rows[:, -1], split)]
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    train_x, train_y, test_x, test_y = splits
+    return Dataset("csv", train_x, train_y, test_x, test_y)
 
 
 def synthetic_digits(

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .metric import DistanceMatrix, as_integer
+from .metric import DistanceMatrix, as_integer, read_input
 from .solver import GlobalAssignment
 
 
@@ -267,8 +267,9 @@ def import_encoding(source: str | dict) -> VoltageEncoding:
 
 def load_encoding(path: str | Path) -> VoltageEncoding:
     """import_encoding on a file; an invalid encoding's message starts with the path."""
+    text = read_input(path)
     try:
-        return import_encoding(Path(path).read_text())
+        return import_encoding(text)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

@@ -111,6 +111,14 @@ def build_dm(spec: DistanceSpec) -> DistanceMatrix:
     )
 
 
+def read_input(path: str | Path) -> str:
+    """The text of an input file; a file that is not UTF-8 raises ValueError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def csv_rows(text: str, source, convert=int, width: int | None = None,
              cell: str = "value") -> list[list]:
     """Comma-separated rows of text, each cell through convert; blank and '#' lines are skipped.
@@ -138,13 +146,20 @@ def csv_rows(text: str, source, convert=int, width: int | None = None,
 
 
 def parse_dm_csv(text: str, source="distance matrix CSV") -> DistanceMatrix:
-    """Parse comma-separated integer rows; lines starting with '#' are skipped."""
-    return DistanceMatrix(csv_rows(text, source))
+    """Parse comma-separated integer rows; lines starting with '#' are skipped.
+
+    Every error names source, a matrix the rows do not form included.
+    """
+    rows = csv_rows(text, source)
+    try:
+        return DistanceMatrix(rows)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from exc
 
 
 def load_custom_dm(source: str | Path) -> DistanceMatrix:
     """Load a custom matrix from CSV. Symmetry is not required."""
-    return parse_dm_csv(Path(source).read_text(), source)
+    return parse_dm_csv(read_input(source), source)
 
 
 def dm_to_csv(dm: DistanceMatrix) -> str:

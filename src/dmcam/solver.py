@@ -16,20 +16,29 @@ range. Three restrictions shape the search space:
 Rows are solved independently first (restriction 2) by backtracking over
 the per-entry decompositions, restriction 3 is pruned with AC-3 over row
 pairs, and a final depth-first pass extracts one globally consistent
-assignment. On-sets travel through all three stages as int column masks.
-AC-3 and extraction share one support index that keeps domain positions as
-int bitsets, so a support test is a few big-int ANDs (bitwise arc
-consistency: Lecoutre and Vion, "Enforcing arc consistency using bitwise
-operations", 2008). An independent brute-force oracle enumerates
+assignment. A probe decomposes each distinct entry value once and keeps one
+tuple table per value (``_TupleTable``), which every column and row
+holding the value shares, with the tuples that fit each prefix state it
+has seen; the tables live as long as the probe. Budget nodes are counted
+in bulk, with the same totals as one count per node tried: a decomposition
+settles its last slot in closed form, and a row prefix adds its column's
+whole tuple set. On-sets travel through all three stages as int column
+masks. AC-3 and extraction share one support index that keeps domain
+positions as int bitsets, so a support test is a few big-int ANDs (bitwise
+arc consistency: Lecoutre and Vion, "Enforcing arc consistency using
+bitwise operations", 2008; AC-3 after Mackworth, "Consistency in networks
+of relations", 1977). An independent brute-force oracle enumerates
 voltage-rank assignments directly and must agree with the solver verdict.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, reduce
+from itertools import compress, product, repeat
+from operator import and_, getitem, itemgetter, or_, rshift
 from typing import Iterable, Optional, Sequence
 
 from .metric import DistanceMatrix, as_integer
@@ -88,7 +97,10 @@ def decompose_dm(
 
     Branch index carries identity (it names a physical device), so order
     matters. Tuples come out in lexicographic order; an empty result means
-    the value cannot be decomposed.
+    the value cannot be decomposed. One budget node is one multiple tried
+    on a prefix; the last slot is settled in closed form, counting the
+    multiples up to what remains and emitting the remainder only when it
+    is itself a multiple.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -101,26 +113,34 @@ def decompose_dm(
     nodes = 0
 
     def extend(remaining: int, slots: int) -> None:
+        # stops early once nodes passes the budget, which the caller then raises
         nonlocal nodes
-        if slots == 0:
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
         if remaining > cap * slots:
+            return
+        if slots == 1:
+            fits = bisect_right(multiples, remaining)
+            nodes += fits
+            if multiples[fits - 1] == remaining:
+                out.append((*prefix, remaining))
             return
         for v in multiples:
             if v > remaining:
                 break
             nodes += 1
             if nodes > budget:
-                raise BudgetExceededError(
-                    f"decomposition of {value} into {k} parts exceeded {budget} nodes"
-                )
+                return
             prefix.append(v)
             extend(remaining - v, slots - 1)
             prefix.pop()
 
-    extend(value, k)
+    try:
+        extend(value, k)
+    finally:
+        del extend  # it refers to itself: break the cycle
+    if nodes > budget:
+        raise BudgetExceededError(
+            f"decomposition of {value} into {k} parts exceeded {budget} nodes"
+        )
     return tuple(out)
 
 
@@ -207,85 +227,6 @@ class GlobalAssignment:
         return self.rows[0].k
 
 
-def backtrack_row(
-    column_tuple_sets: Sequence[Sequence[tuple[int, ...]]],
-    budget: int = DEFAULT_NODE_BUDGET,
-    canonical: bool = False,
-) -> tuple[RowAssignment, ...]:
-    """Every pick of one tuple per column keeping per-branch currents unique.
-
-    Columns are filled left to right, tuples tried in the order produced by
-    decompose_dm, so the output order is deterministic. An empty input set
-    for any column yields no assignments. Branch masks and on-currents are
-    built along the search path, so each result needs no re-validation.
-
-    With canonical set, only assignments whose branch vectors (branch i's
-    currents over the columns, left to right) are in nondecreasing
-    lexicographic order come out, in the same relative order. A prefix is
-    cut as soon as two adjacent branches are decided in descending order.
-    """
-    sets = [tuple(s) for s in column_tuple_sets]
-    if not sets or any(not s for s in sets):
-        return ()
-    k = len(sets[0][0])
-    # per column and tuple: its nonzero (branch, current) pairs, and the
-    # adjacent branch pairs (bit i for branches i, i+1) it orders ascending
-    # and those it orders descending
-    options = [
-        [
-            (
-                tuple((i, v) for i, v in enumerate(tup) if v != 0),
-                sum(1 << i for i in range(k - 1) if tup[i] < tup[i + 1]),
-                sum(1 << i for i in range(k - 1) if tup[i] > tup[i + 1]),
-            )
-            for tup in col
-        ]
-        for col in sets
-    ]
-    results: list[RowAssignment] = []
-    values = [0] * k
-    masks = [0] * k
-    nodes = 0
-    columns = len(options)
-    last = columns - 1
-
-    def dfs(col: int, tied: int) -> None:
-        # tied: adjacent branch pairs whose vectors are equal so far
-        nonlocal nodes
-        bit = 1 << col
-        for on, ascending, descending in options[col]:
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError(
-                    f"row enumeration exceeded {budget} nodes; raise the budget to continue"
-                )
-            if tied & descending:
-                continue
-            changed = []
-            for i, v in on:
-                if values[i] == 0:
-                    values[i] = v
-                    changed.append(i)
-                elif values[i] != v:
-                    break
-            else:
-                for i, _ in on:
-                    masks[i] |= bit
-                if col == last:
-                    results.append(
-                        RowAssignment._checked(columns, tuple(masks), tuple(values))
-                    )
-                else:
-                    dfs(col + 1, tied & ~ascending)
-                for i, _ in on:
-                    masks[i] ^= bit
-            for i in changed:
-                values[i] = 0
-
-    dfs(0, (1 << (k - 1)) - 1 if canonical else 0)
-    return tuple(results)
-
-
 def _bitset(positions: Iterable[int], size: int) -> int:
     """The int with exactly the given bit positions (all below size) set."""
     bits = bytearray((size + 7) >> 3)
@@ -294,53 +235,233 @@ def _bitset(positions: Iterable[int], size: int) -> int:
     return int.from_bytes(bits, "little")
 
 
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _positions(bits: int) -> list[int]:
+    """The positions of the set bits, ascending."""
+    flags = format(bits, "b")[::-1].encode().translate(_DIGIT_FLAGS)
+    return list(compress(range(len(flags)), flags))
+
+
+class _TupleTable:
+    """One column's tuple set prepared for row enumeration.
+
+    A row prefix's on-currents are also kept as a one-hot state: bit
+    ``i * len(levels) + levels[v]`` is set when branch i conducts current v,
+    where ``levels`` numbers the nonzero currents and is shared by every
+    table of a probe. Per tuple the table keeps its own state bits, the
+    bits it conflicts with (another current on a branch it turns on), the
+    branches it turns on and the adjacent branch pairs (bit i for branches
+    i, i+1) it orders ascending and those it orders descending.
+    ``fitting(state, values)`` lists, in order, the tuples a prefix with
+    that state and on-current vector can take, each with the state and
+    vector it extends the prefix to. Per-tuple data is built on the first
+    query and answers are memoized per state, so the columns and rows that
+    hold the same value share both.
+    """
+
+    __slots__ = ("tuples", "_levels", "_options", "_fits")
+
+    def __init__(self, tuples: Sequence[tuple[int, ...]], levels: dict[int, int]):
+        self.tuples = tuple(tuples)
+        self._levels = levels
+        self._options: Optional[list] = None
+        self._fits: dict[int, list] = {}
+
+    def _prepare(self) -> list:
+        width = len(self._levels)
+        every = (1 << width) - 1  # one branch's state bits
+        options = []
+        for tup in self.tuples:
+            on: list[int] = []
+            bits = conflict = ascending = descending = 0
+            for i, v in enumerate(tup):
+                if v:
+                    on.append(i)
+                    bit = 1 << (i * width + self._levels[v])
+                    bits |= bit
+                    conflict |= (every << (i * width)) ^ bit
+                if i and tup[i - 1] != v:
+                    if tup[i - 1] < v:
+                        ascending |= 1 << (i - 1)
+                    else:
+                        descending |= 1 << (i - 1)
+            options.append((tup, bits, conflict, tuple(on), ascending, descending))
+        self._options = options
+        return options
+
+    def fitting(self, state: int, values: tuple[int, ...]) -> list:
+        fits = self._fits.get(state)
+        if fits is None:
+            options = self._options or self._prepare()
+            # merging by OR gives each branch its one nonzero current, or 0
+            fits = self._fits[state] = [
+                (state | bits, tuple(map(or_, values, tup)), on, ascending, descending)
+                for tup, bits, conflict, on, ascending, descending in options
+                if not state & conflict
+            ]
+        return fits
+
+
+def _current_levels(currents: Iterable[int]) -> dict[int, int]:
+    """The nonzero currents numbered in increasing order, for _TupleTable states."""
+    return {v: n for n, v in enumerate(sorted(set(currents) - {0}))}
+
+
+def backtrack_row(
+    column_tuple_sets: Sequence[Sequence[tuple[int, ...]]],
+    budget: int = DEFAULT_NODE_BUDGET,
+    canonical: bool = False,
+    tables: Optional[Sequence[_TupleTable]] = None,
+) -> tuple[RowAssignment, ...]:
+    """Every pick of one tuple per column keeping per-branch currents unique.
+
+    Columns are filled left to right, tuples tried in the order produced by
+    decompose_dm, so the output order is deterministic. An empty input set
+    for any column yields no assignments. Branch masks and on-currents are
+    built along the search path, so each result needs no re-validation.
+    One budget node is one tuple tried on a prefix: a visited prefix adds
+    its column's whole set at once.
+
+    With canonical set, only assignments whose branch vectors (branch i's
+    currents over the columns, left to right) are in nondecreasing
+    lexicographic order come out, in the same relative order. A prefix is
+    cut as soon as two adjacent branches are decided in descending order.
+
+    tables, when given, holds one _TupleTable per column, built from that
+    column's set; solve_fixed_k shares one per distinct entry value.
+    """
+    sets = [tuple(s) for s in column_tuple_sets]
+    if not sets or any(not s for s in sets):
+        return ()
+    k = len(sets[0][0])
+    if tables is None:
+        levels = _current_levels(v for s in sets for tup in s for v in tup)
+        tables = [_TupleTable(s, levels) for s in sets]
+    results: list[RowAssignment] = []
+    masks = [0] * k
+    nodes = 0
+    columns = len(sets)
+    last = columns - 1
+    checked = RowAssignment._checked
+
+    def dfs(col: int, state: int, values: tuple[int, ...], tied: int) -> None:
+        # tied: adjacent branch pairs whose vectors are equal so far
+        nonlocal nodes
+        table = tables[col]
+        nodes += len(table.tuples)
+        if nodes > budget:
+            raise BudgetExceededError(
+                f"row enumeration exceeded {budget} nodes; raise the budget to continue"
+            )
+        fits = table.fitting(state, values)
+        bit = 1 << col
+        if col == last:
+            for _, merged, on, _, descending in fits:
+                if not tied & descending:
+                    for i in on:
+                        masks[i] |= bit
+                    results.append(checked(columns, tuple(masks), merged))
+                    for i in on:
+                        masks[i] ^= bit
+            return
+        for after, merged, on, ascending, descending in fits:
+            if not tied & descending:
+                for i in on:
+                    masks[i] |= bit
+                dfs(col + 1, after, merged, tied & ~ascending)
+                for i in on:
+                    masks[i] ^= bit
+
+    try:
+        dfs(0, 0, (0,) * k, (1 << (k - 1)) - 1 if canonical else 0)
+    finally:
+        del dfs  # it refers to itself: break the cycle so its tables are freed at once
+    return tuple(results)
+
+
+# _OCTET_DIGITS[c] maps a byte to the digit "1" when its bit c is set, else "0"
+_OCTET_DIGITS = [bytes(b"01"[x >> c & 1] for x in range(256)) for c in range(8)]
+
+
+def _bit_slices(masks: Iterable[int], width: int) -> list[int]:
+    """Bitset c holds position p when bit c of the p-th mask is set, for c < width.
+
+    Each byte of the masks becomes one byte string, read backwards so that
+    position 0 is the last digit, and each of its bits one base-2 numeral.
+    """
+    slices: list[int] = []
+    while True:
+        if width > 8:
+            masks = list(masks)
+            octets = bytes(map(and_, masks, repeat(255)))
+        else:
+            octets = bytes(masks)
+        octets = octets[::-1]
+        slices.extend(int(octets.translate(digits), 2) for digits in _OCTET_DIGITS[:width])
+        if width <= 8:
+            return slices
+        masks, width = map(rshift, masks, repeat(8)), width - 8
+
+
+class _Nesting(dict):
+    """One row's branch: query mask -> bitset of the positions whose mask nests with it.
+
+    Holds the branch's masks bit-sliced by stored column, and fills an entry
+    on its first lookup: a mask is a superset of query q when it has every
+    column of q (an AND over those slices) and a subset when it has none of
+    the others (the complement of an OR over theirs).
+    """
+
+    __slots__ = ("_slices", "_everyone")
+
+    def __missing__(self, q: int) -> int:
+        superset, outside = self._everyone, 0
+        for c, positions in enumerate(self._slices):
+            if q >> c & 1:
+                superset &= positions
+            else:
+                outside |= positions
+        comparable = self[q] = superset | (self._everyone ^ outside)
+        return comparable
+
+
 class _SupportIndex:
     """Which positions of each row's domain nest with a given branch mask.
 
-    Built from one list of branch-mask tuples per row. For row j and branch
-    b it keeps every distinct mask with the bitset of the positions holding
-    it, and memoizes, per query mask q, the OR of the bitsets whose mask
-    nests with q (a subset or a superset). The positions of row j that an
-    assignment with masks x can share a threshold ordering with are then
-    the AND over b of those ORs: a support test is k big-int ANDs. A row is
-    indexed on its first query, and positions are fixed at construction, so
-    a memo entry stays valid while callers narrow their own live bitsets.
+    Built from one list of branch-mask tuples per row and the column count;
+    ``nesting(j)`` gives row j's branches as _Nesting maps. The positions of
+    row j that an assignment with masks x can share a threshold ordering
+    with are the AND over b of ``nesting(j)[b][x[b]]``: a support test is k
+    dict lookups and k big-int ANDs, run in C by ``reduce(and_, map(getitem,
+    ...))``. A row is indexed on its first query, and positions are fixed
+    until ``forget``, so a memo entry stays valid while callers narrow their
+    own live bitsets.
     """
 
-    __slots__ = ("_rows", "_branches")
+    __slots__ = ("_rows", "_columns", "_branches")
 
-    def __init__(self, rows: Sequence[Sequence[tuple[int, ...]]]):
+    def __init__(self, rows: Sequence[Sequence[tuple[int, ...]]], columns: int):
         self._rows = rows
-        self._branches: list[Optional[list]] = [None] * len(rows)
+        self._columns = columns
+        self._branches: list[Optional[list[_Nesting]]] = [None] * len(rows)
 
-    def _index_row(self, j: int) -> list:
-        row = self._rows[j]
-        branches = []
-        for b in range(len(row[0])):
-            positions: dict[int, list[int]] = {}
-            for p, masks in enumerate(row):
-                positions.setdefault(masks[b], []).append(p)
-            values = [(v, _bitset(ps, len(row))) for v, ps in positions.items()]
-            branches.append(({}, values))
-        self._branches[j] = branches
+    def nesting(self, j: int) -> list[_Nesting]:
+        branches = self._branches[j]
+        if branches is None:
+            row = self._rows[j]
+            branches = self._branches[j] = []
+            for b in range(len(row[0])):
+                nesting = _Nesting()
+                nesting._slices = _bit_slices(map(itemgetter(b), row), self._columns)
+                nesting._everyone = (1 << len(row)) - 1
+                branches.append(nesting)
         return branches
 
-    def support(self, j: int, masks: Sequence[int], allowed: int) -> int:
-        """The positions of ``allowed`` in row j that nest with ``masks`` on every branch."""
-        branches = self._branches[j] or self._index_row(j)
-        for q, (memo, values) in zip(masks, branches):
-            comparable = memo.get(q)
-            if comparable is None:
-                comparable = 0
-                for v, bits in values:
-                    both = v & q
-                    if both == v or both == q:
-                        comparable |= bits
-                memo[q] = comparable
-            allowed &= comparable
-            if not allowed:
-                break
-        return allowed
+    def forget(self, j: int) -> None:
+        """Drop row j's index; it is rebuilt from ``rows[j]`` on the next query."""
+        self._branches[j] = None
 
 
 @dataclass(frozen=True)
@@ -349,8 +470,9 @@ class FeasibleRegion:
 
     domains: tuple[tuple[RowAssignment, ...], ...]
     feasible: bool
-    # when feasible: ac3's input domains, its support index over them and
-    # each row's live bitset, which extraction goes on from
+    # when feasible: ac3's domains (a re-based row holds only its survivors),
+    # its support index over them and each row's live bitset, which
+    # extraction goes on from
     _support: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
@@ -363,10 +485,15 @@ def ac3(searchlines: Sequence[Sequence[RowAssignment]]) -> FeasibleRegion:
 
     Textbook AC-3: FIFO queue over directed arcs, re-enqueueing neighbor
     arcs whenever a domain is revised. Each row keeps its live domain
-    positions, in order, and the same positions as a bitset; revising arc
-    (i, j) keeps each live position of row i whose support in row j, from
-    the support index, meets row j's live bitset. Domain order is
-    preserved so later extraction is deterministic. Feasible is False as
+    positions, in order, and the same positions as a bitset. Revising arc
+    (i, j) keeps each live position of row i that nests with some live
+    position of row j, found from whichever side has fewer live positions:
+    each live position of row i ANDs its support in row j with row j's
+    live bitset, or each live position of row j ORs up its support among
+    row i's live positions. A revision that leaves at most half of row i's
+    indexed positions re-bases row i on its survivors, so its index and
+    bitsets shrink with it. Domain order is preserved, so the pruned
+    domains and later extraction are deterministic. Feasible is False as
     soon as any domain empties; a pass here is necessary but not
     sufficient for a global solution.
     """
@@ -375,20 +502,33 @@ def ac3(searchlines: Sequence[Sequence[RowAssignment]]) -> FeasibleRegion:
         return FeasibleRegion(tuple(domains), False)
     m = len(domains)
     masks = [[a.masks for a in d] for d in domains]
-    index = _SupportIndex(masks)
+    index = _SupportIndex(masks, domains[0][0].columns)
     kept = [list(range(len(d))) for d in domains]
     live = [(1 << len(d)) - 1 for d in domains]
 
     queue = deque((i, j) for i in range(m) for j in range(m) if i != j)
     while queue:
         i, j = queue.popleft()
-        theirs, row = live[j], masks[i]
-        still = [p for p in kept[i] if index.support(j, row[p], theirs)]
+        if len(kept[j]) < len(kept[i]):
+            nesting, mine, supported = index.nesting(i), live[i], 0
+            for r in kept[j]:
+                supported |= reduce(and_, map(getitem, nesting, masks[j][r]), mine)
+            still = _positions(supported)
+        else:
+            theirs, row, nesting = live[j], masks[i], index.nesting(j)
+            still = [p for p in kept[i] if reduce(and_, map(getitem, nesting, row[p]), theirs)]
         if len(still) != len(kept[i]):
             kept[i] = still
             if not still:
                 break
-            live[i] = _bitset(still, len(domains[i]))
+            if 2 * len(still) <= len(domains[i]):
+                domains[i] = tuple(domains[i][p] for p in still)
+                masks[i] = [masks[i][p] for p in still]
+                index.forget(i)
+                kept[i] = list(range(len(still)))
+                live[i] = (1 << len(still)) - 1
+            else:
+                live[i] = _bitset(still, len(domains[i]))
             queue.extend((l, i) for l in range(m) if l != i and l != j)
     feasible = all(kept)
     pruned = tuple(tuple(d[p] for p in ps) for d, ps in zip(domains, kept))
@@ -406,6 +546,7 @@ def extract_solution(region: FeasibleRegion) -> Optional[GlobalAssignment]:
         return None
     domains, index, live = region._support
     m = len(domains)
+    nestings = [index.nesting(j) if j else None for j in range(m)]  # row 0 is never a later row
     chosen: list[RowAssignment] = []
 
     def dfs(row: int, allowed: list[int]) -> bool:
@@ -418,7 +559,7 @@ def extract_solution(region: FeasibleRegion) -> Optional[GlobalAssignment]:
             a = domains[row][low.bit_length() - 1]
             later = []
             for j, bits in enumerate(allowed[1:], row + 1):
-                bits = index.support(j, a.masks, bits)
+                bits = reduce(and_, map(getitem, nestings[j], a.masks), bits)
                 if not bits:
                     break
                 later.append(bits)
@@ -429,7 +570,11 @@ def extract_solution(region: FeasibleRegion) -> Optional[GlobalAssignment]:
                 chosen.pop()
         return False
 
-    return GlobalAssignment(tuple(chosen)) if dfs(0, live) else None
+    try:
+        found = dfs(0, live)
+    finally:
+        del dfs  # it refers to itself: break the cycle so the index is freed at once
+    return GlobalAssignment(tuple(chosen)) if found else None
 
 
 @dataclass(frozen=True)
@@ -455,7 +600,9 @@ def solve_fixed_k(
 ) -> ProbeOutcome:
     """Run the full pipeline for one cell size.
 
-    Branch permutations are symmetric, so the first row is enumerated in
+    Each distinct entry value is decomposed once, and its tuple table is
+    shared by every column and row that holds the value. Branch
+    permutations are symmetric, so the first row is enumerated in
     canonical form only, with its branch vectors sorted; every solution
     class keeps a representative and the k! duplicates disappear.
     """
@@ -463,22 +610,21 @@ def solve_fixed_k(
         raise ValueError("k must be >= 1")
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    decomp_cache: dict[int, tuple[tuple[int, ...], ...]] = {}
-    dmcurs: list[list[tuple[tuple[int, ...], ...]]] = []
-    for s in range(dm.m):
-        row_sets = []
-        for t in range(dm.n):
-            value = dm.entries[s][t]
-            if value not in decomp_cache:
-                decomp_cache[value] = decompose_dm(k, value, cr, budget)
-            if not decomp_cache[value]:
-                return ProbeOutcome(k, "no_decomposition")
-            row_sets.append(decomp_cache[value])
-        dmcurs.append(row_sets)
+    levels = _current_levels(cr.multiples)
+    tables: dict[int, _TupleTable] = {}  # one per distinct entry value
+    for row in dm.entries:
+        for value in row:
+            if value not in tables:
+                tables[value] = _TupleTable(decompose_dm(k, value, cr, budget), levels)
+                if not tables[value].tuples:
+                    return ProbeOutcome(k, "no_decomposition")
 
     searchlines: list[tuple[RowAssignment, ...]] = []
-    for s in range(dm.m):
-        assignments = backtrack_row(dmcurs[s], budget, canonical=s == 0)
+    for s, row in enumerate(dm.entries):
+        row_tables = [tables[value] for value in row]
+        assignments = backtrack_row(
+            [t.tuples for t in row_tables], budget, canonical=s == 0, tables=row_tables
+        )
         if not assignments:
             return ProbeOutcome(k, "empty_row")
         searchlines.append(assignments)

@@ -113,7 +113,16 @@ def test_compile_3bit_hamming_reaches_k4(tmp_path, peak_rss_mb):
     peak_mb = peak_rss_mb(_RUN_CLI, "compile", "--metric", "hamming", "--bits", "3",
                           "--out", str(enc), "--report", str(report))
     assert peak_mb < 340, f"peak RSS {peak_mb:.0f} MB"
-    assert json.loads(report.read_text())["min_k"] == 4
+    rep = json.loads(report.read_text())
+    assert rep["min_k"] == 4
+    # Every probe's status, domain and pruned sizes (k = 4 enumerates rows
+    # of 87,480 assignments) and the encoding's bytes, pinned by digest; the
+    # report's config is left out, since it holds the tmp paths.
+    pinned = json.dumps({key: rep[key] for key in ("levels", "min_k", "probes")}, sort_keys=True)
+    assert hashlib.sha256(pinned.encode()).hexdigest() == (
+        "daa6a13f146583941f792840c96f6621d6584abf07b7a6b996ec930bcd98468f")
+    assert hashlib.sha256(enc.read_bytes()).hexdigest() == (
+        "1ef9139f4727eeb95a5fab1bae7fb70a04f8f822b10d2c742c439347822d1bd5")
     # Recompute every cell from the JSON alone: branch i conducts its drain
     # multiple when the search gate rank exceeds the stored threshold rank.
     data = json.loads(enc.read_text())
@@ -574,6 +583,65 @@ def test_symbol_csv_names_file_and_line(tmp_path, compiled_encoding_file, capsys
     assert run([*argv, flag, str(bad)]) == EXIT_ERROR
     where = str(bad) if lineno is None else f"{bad} line {lineno}"
     assert f"{where}: {message}" in capsys.readouterr().err
+
+
+# Every input file is read through one helper: a file that is not UTF-8
+# exits 1 naming the file, whichever flag reads it.
+@pytest.mark.parametrize("flag", ["--custom", "--stored", "--queries", "--train-csv", "--config",
+                                  "--encoding"])
+def test_non_utf8_input_names_its_file(tmp_path, compiled_encoding_file, capsys, flag):
+    stored, queries, test = tmp_path / "s.csv", tmp_path / "q.csv", tmp_path / "test.csv"
+    _write_symbol_csv(stored, [[0, 1], [3, 2]])
+    _write_symbol_csv(queries, [[0, 1]])
+    test.write_text("0,1,0\n1,0,1\n")
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\xff\xfe0,1\n")
+    encoding = str(compiled_encoding_file)
+    argv = {
+        "--custom": ["dm", "--custom", str(bad)],
+        "--stored": ["simulate", "--encoding", encoding, "--stored", str(bad),
+                     "--queries", str(queries)],
+        "--queries": ["simulate", "--encoding", encoding, "--stored", str(stored),
+                      "--queries", str(bad)],
+        "--train-csv": ["bench", "--pipeline", "knn", "--dataset", "csv", "--train-csv", str(bad),
+                        "--test-csv", str(test), "--metric", "hamming"],
+        "--config": ["--config", str(bad), "dm", "--metric", "hamming"],
+        "--encoding": ["verify", "--metric", "hamming", "--encoding", str(bad)],
+    }[flag]
+    assert run(argv) == EXIT_ERROR
+    assert capsys.readouterr().err == (f"dmcam: error: {bad}: 'utf-8' codec can't decode byte 0xff "
+                                       "in position 0: invalid start byte\n")
+
+
+# Checks that run once a file has parsed name the file too, in their own words.
+@pytest.mark.parametrize("flag, text, message", [
+    ("--custom", "0,-1\n", "distance matrix entries must be nonnegative"),
+    ("--stored", "0,1\n7,0\n", "stored symbols must lie in [0, n)"),
+    ("--queries", "0,4\n", "query symbols must lie in [0, m)"),
+    ("--train-csv", "0.0,1.0,0\n0.2,0.5,0.5\n", "train labels must be integers"),
+    ("--test-csv", "0.1,0.9,-0.5\n", "test labels must be integers"),
+], ids=["custom", "stored", "queries", "train-csv", "test-csv"])
+def test_checks_after_parsing_name_the_file(tmp_path, compiled_encoding_file, capsys,
+                                            flag, text, message):
+    stored, queries = tmp_path / "s.csv", tmp_path / "q.csv"
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    _write_symbol_csv(stored, [[0, 1], [3, 2]])
+    _write_symbol_csv(queries, [[0, 1]])
+    train.write_text("0.0,1.0,0\n1.0,0.0,1\n")
+    test.write_text("0.1,0.9,0\n0.9,0.1,1\n")
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    simulate = ["simulate", "--encoding", str(compiled_encoding_file)]
+    bench = ["bench", "--pipeline", "knn", "--dataset", "csv", "--metric", "hamming"]
+    argv = {
+        "--custom": ["dm", "--custom", str(bad)],
+        "--stored": [*simulate, "--stored", str(bad), "--queries", str(queries)],
+        "--queries": [*simulate, "--stored", str(stored), "--queries", str(bad)],
+        "--train-csv": [*bench, "--train-csv", str(bad), "--test-csv", str(test)],
+        "--test-csv": [*bench, "--train-csv", str(train), "--test-csv", str(bad)],
+    }[flag]
+    assert run(argv) == EXIT_ERROR
+    assert capsys.readouterr().err == f"dmcam: error: {bad}: {message}\n"
 
 
 def test_malformed_thread_env_is_usage_error(monkeypatch, capsys):

@@ -4,6 +4,7 @@ Every reference here recomputes on-sets from the current tuples as
 frozensets, so a mask bit left stale by the search shows up as a mismatch.
 """
 
+import itertools
 import types
 from collections import deque
 
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dmcam import solver
+from dmcam.metric import DistanceMatrix
 from dmcam.solver import (
     BudgetExceededError,
     CurrentRange,
@@ -20,6 +22,7 @@ from dmcam.solver import (
     backtrack_row,
     decompose_dm,
     extract_solution,
+    solve_fixed_k,
 )
 
 
@@ -126,12 +129,14 @@ def test_ac3_and_extraction_equal_naive_frozenset_search(domains):
     assert (tuple(r.tuples for r in ga.rows) if ga else None) == expected
 
 
-def _naive_rows(sets):
-    """Valid picks in search order, and the nodes a depth-first search tries."""
+def _naive_rows(sets, canonical=False):
+    """Valid picks in search order, and the nodes a depth-first search tries;
+    with canonical, a prefix whose branch vectors are out of order is cut."""
     prefixes, nodes = [()], 0
     for col in sets:
         nodes += len(prefixes) * len(col)
-        prefixes = [p + (t,) for p in prefixes for t in col if _single_valued(p + (t,))]
+        prefixes = [p + (t,) for p in prefixes for t in col
+                    if _single_valued(p + (t,)) and (not canonical or _sorted_vectors(p + (t,)))]
     return prefixes, nodes
 
 
@@ -158,6 +163,41 @@ def test_backtrack_row_equals_fresh_assignments(sets):
         backtrack_row(sets, budget=nodes - 1)
 
 
+def _naive_decompositions(k, value, multiples):
+    """Lexicographic k-tuples summing to value, and the nodes a depth-first
+    search tries: one per multiple it places on a prefix, cutting a prefix
+    whose remainder exceeds the largest multiple times the slots left."""
+    tuples = [t for t in itertools.product(multiples, repeat=k) if sum(t) == value]
+    cap, nodes = multiples[-1], 0
+
+    def walk(remaining, slots):
+        nonlocal nodes
+        if slots == 0 or remaining > cap * slots:
+            return
+        for v in multiples:
+            if v <= remaining:
+                nodes += 1
+                walk(remaining - v, slots - 1)
+
+    walk(value, k)
+    return tuples, nodes
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 12),
+       st.sampled_from([(0, 1), (0, 1, 2), (0, 1, 3), (0, 2, 5), (0, 3),
+                        CurrentRange.covering(9).multiples]))
+@example(4, 12, CurrentRange.covering(9).multiples)
+@example(3, 7, (0, 2, 5))
+def test_decompose_dm_node_count_equals_depth_first_count(k, value, multiples):
+    naive, nodes = _naive_decompositions(k, value, multiples)
+    cr = CurrentRange(multiples)
+    assert list(decompose_dm(k, value, cr, budget=max(nodes, 1))) == naive
+    if nodes:
+        with pytest.raises(BudgetExceededError):
+            decompose_dm(k, value, cr, budget=nodes - 1)
+
+
 def _sorted_vectors(tuples):
     """Branch vectors (branch i's currents over the columns) nondecreasing."""
     vectors = list(zip(*tuples))
@@ -174,6 +214,47 @@ def test_canonical_rows_equal_sorted_vector_filter(sets):
     naive, nodes = _naive_rows(sets)
     got = backtrack_row(sets, budget=nodes, canonical=True)
     assert [r.tuples for r in got] == [t for t in naive if _sorted_vectors(t)]
+
+
+def _naive_probe_nodes(entries, k, multiples):
+    """The largest node count among the enumerations a fixed-k probe runs.
+
+    Decompositions run once per distinct entry value, in row-major order,
+    and rows in order with row 0 canonical; the probe stops at the first
+    empty decomposition and at the first empty row.
+    """
+    decomps, counts = {}, []
+    for value in (v for row in entries for v in row):
+        if value not in decomps:
+            decomps[value], nodes = _naive_decompositions(k, value, multiples)
+            counts.append(nodes)
+            if not decomps[value]:
+                return max(counts)
+    for s, row in enumerate(entries):
+        rows, nodes = _naive_rows([decomps[v] for v in row], canonical=s == 0)
+        counts.append(nodes)
+        if not rows:
+            break
+    return max(counts)
+
+
+@st.composite
+def small_matrices(draw):
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rows = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    return DistanceMatrix(tuple(tuple(r) for r in draw(st.lists(rows, min_size=m, max_size=m))))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(small_matrices(), st.integers(1, 3))
+@example(DistanceMatrix(((0, 1, 1, 2), (1, 0, 2, 1), (1, 2, 0, 1), (2, 1, 1, 0))), 3)
+def test_solve_fixed_k_runs_out_of_budget_at_its_largest_enumeration(dm, k):
+    cr = CurrentRange((0, 1, 2))
+    nodes = _naive_probe_nodes(dm.entries, k, cr.multiples)
+    assert solve_fixed_k(dm, k, cr, budget=max(nodes, 1)) == solve_fixed_k(dm, k, cr)
+    if nodes > 1:
+        with pytest.raises(BudgetExceededError):
+            solve_fixed_k(dm, k, cr, budget=nodes - 1)
 
 
 def _names(code):
