@@ -4,7 +4,8 @@ Subcommands cover the whole pipeline: dm (build/print a matrix), compile
 (solve for the minimal cell and emit an encoding), verify (check an encoding
 against a matrix), oracle (brute-force feasibility), simulate (searches on a
 programmed array), mc (Monte-Carlo accuracy under variation) and bench
-(KNN/HDC dataset pipelines).
+(KNN/HDC dataset pipelines). Only simulate, mc and bench import numpy and the
+simulator modules, inside the command, so the other subcommands start without them.
 
 Exit codes: 0 success, 2 infeasible or failed verification (a valid answer),
 3 bad usage, 4 unreadable input file, 5 enumeration budget exceeded,
@@ -21,10 +22,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import apps, datasets
 from .compiler import compile_dm
-from .crossbar import Crossbar, checked_symbols, monte_carlo
-from .device import VariationParams
 from .encoder import (
     DEFAULT_LADDER,
     VoltageLadder,
@@ -254,7 +252,9 @@ def _levels_from_args(args: argparse.Namespace, dm) -> CurrentRange:
     return CurrentRange.parse(args.levels)
 
 
-def _variation_from_args(args: argparse.Namespace) -> VariationParams:
+def _variation_from_args(args: argparse.Namespace):
+    from .device import VariationParams
+
     return VariationParams(args.sigma_vth, args.sigma_r, args.seed)  # zero sigmas: a nominal array
 
 
@@ -272,9 +272,11 @@ def _load_symbol_csv(path: str, width: int | None = None) -> list[list[int]]:
     return csv_rows(read_input(path), path, width=width, cell="symbol")
 
 
-def _load_symbols(path: str, levels: int, error: str):
+def _load_symbols(path: str, levels: int, error: str, width: int | None = None):
     """A symbol CSV as checked symbols; one outside [0, levels) raises ValueError naming the file."""
-    rows = _load_symbol_csv(path)
+    from .crossbar import checked_symbols
+
+    rows = _load_symbol_csv(path, width)
     try:
         return checked_symbols(rows, levels, error)
     except ValueError as exc:
@@ -365,6 +367,8 @@ def _config_line(args) -> str:
 
 
 def cmd_simulate(args) -> int:
+    from .crossbar import Crossbar
+
     encoding, stored, queries, ladder = _array_inputs(args)
     cb = Crossbar(encoding, stored, ladder, variation=_variation_from_args(args))
     lines = ["query,row,current_a,current_units,winner"]
@@ -378,9 +382,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_mc(args) -> int:
+    from .crossbar import Crossbar, monte_carlo
+
     encoding, stored, queries, ladder = _array_inputs(args)
     if args.expected:
-        expected = [row[0] for row in _load_symbol_csv(args.expected, width=1)]
+        bound = f"expected winners must lie in [0, {len(stored)})"
+        expected = _load_symbols(args.expected, len(stored), bound, width=1)[:, 0]
+        if len(expected) != len(queries):
+            raise ValueError(f"{args.expected}: one expected winner per query is required, "
+                             f"got {len(expected)} for {len(queries)} queries")
     else:
         expected = Crossbar(encoding, stored, ladder).search(queries).winner
     result = monte_carlo(
@@ -399,7 +409,9 @@ def cmd_mc(args) -> int:
     return EXIT_OK
 
 
-def _load_bench_dataset(args) -> datasets.Dataset:
+def _load_bench_dataset(args):
+    from . import datasets
+
     if args.dataset == "mnist":
         if not args.data_root:
             raise SystemExit2("--data-root is required for --dataset mnist")
@@ -412,6 +424,8 @@ def _load_bench_dataset(args) -> datasets.Dataset:
 
 
 def cmd_bench(args) -> int:
+    from . import apps
+
     dm = _dm_from_args(args)
     ds = _load_bench_dataset(args)
     cr = _levels_from_args(args, dm)

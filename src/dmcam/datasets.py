@@ -88,15 +88,6 @@ def load_idx(path: str | Path) -> np.ndarray:
     return data.reshape(shape)
 
 
-def write_idx(path: str | Path, array: np.ndarray) -> None:
-    """Write an unsigned-byte IDX file (inverse of load_idx)."""
-    arr = np.ascontiguousarray(array, dtype=np.uint8)
-    with open(path, "wb") as f:
-        f.write(bytes([0, 0, IDX_UBYTE, arr.ndim]))
-        f.write(struct.pack(f">{arr.ndim}I", *arr.shape))
-        f.write(arr.tobytes())
-
-
 def _check_size(split: str, size: int | None) -> None:
     if size is not None and size < 0:
         raise ValueError(f"{split} size must be >= 0, got {size}")
@@ -189,26 +180,3 @@ def synthetic_digits(
     train_x, train_y = draw(n_train)
     test_x, test_y = draw(n_test)
     return Dataset("synthetic", train_x, train_y, test_x, test_y)
-
-
-def synthetic_digits_via_idx(tmpdir: str | Path, **kwargs) -> Dataset:
-    """Synthetic corpus written to IDX files and read back through load_mnist.
-
-    Round-trips the real ingestion path so IDX parsing is exercised even
-    without the original files.
-    """
-    ds = synthetic_digits(**kwargs)
-    root = Path(tmpdir)
-    root.mkdir(parents=True, exist_ok=True)
-    side = int(round(float(np.sqrt(ds.feature_count))))
-    if side * side != ds.feature_count:
-        raise ValueError("feature count must be a perfect square to write image files")
-    write_idx(root / "train-images-idx3-ubyte",
-              np.round(ds.train_x).reshape(-1, side, side).astype(np.uint8))
-    write_idx(root / "train-labels-idx1-ubyte", ds.train_y.astype(np.uint8))
-    write_idx(root / "t10k-images-idx3-ubyte",
-              np.round(ds.test_x).reshape(-1, side, side).astype(np.uint8))
-    write_idx(root / "t10k-labels-idx1-ubyte", ds.test_y.astype(np.uint8))
-    loaded = load_mnist(root)
-    loaded.name = "synthetic"
-    return loaded

@@ -1,11 +1,14 @@
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dmcam.compiler import compile_dm
+from dmcam.datasets import IDX_UBYTE, Dataset, load_mnist, synthetic_digits
 from dmcam.encoder import load_encoding
 from dmcam.metric import DistanceSpec, MetricKind, build_dm
 from dmcam.solver import CurrentRange
@@ -82,3 +85,35 @@ def peak_rss_mb():
         return int(proc.stderr.split()[-1]) / 1024
 
     return run
+
+
+def write_idx(path, array) -> None:
+    """Write an unsigned-byte IDX file (inverse of dmcam.datasets.load_idx)."""
+    arr = np.ascontiguousarray(array, dtype=np.uint8)
+    with open(path, "wb") as f:
+        f.write(bytes([0, 0, IDX_UBYTE, arr.ndim]))
+        f.write(struct.pack(f">{arr.ndim}I", *arr.shape))
+        f.write(arr.tobytes())
+
+
+def synthetic_digits_via_idx(tmpdir, **kwargs) -> Dataset:
+    """Synthetic corpus written to IDX files and read back through load_mnist.
+
+    Round-trips the real ingestion path so IDX parsing is exercised even
+    without the original files.
+    """
+    ds = synthetic_digits(**kwargs)
+    root = Path(tmpdir)
+    root.mkdir(parents=True, exist_ok=True)
+    side = int(round(float(np.sqrt(ds.feature_count))))
+    if side * side != ds.feature_count:
+        raise ValueError("feature count must be a perfect square to write image files")
+    write_idx(root / "train-images-idx3-ubyte",
+              np.round(ds.train_x).reshape(-1, side, side).astype(np.uint8))
+    write_idx(root / "train-labels-idx1-ubyte", ds.train_y.astype(np.uint8))
+    write_idx(root / "t10k-images-idx3-ubyte",
+              np.round(ds.test_x).reshape(-1, side, side).astype(np.uint8))
+    write_idx(root / "t10k-labels-idx1-ubyte", ds.test_y.astype(np.uint8))
+    loaded = load_mnist(root)
+    loaded.name = "synthetic"
+    return loaded

@@ -11,11 +11,12 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from conftest import synthetic_digits_via_idx
 
 from dmcam.apps import hdc_class_crossbar, hdc_evaluate, hdc_train, knn_classify, software_nearest
 from dmcam.compiler import compile_dm
 from dmcam.crossbar import Crossbar, monte_carlo
-from dmcam.datasets import load_mnist, synthetic_digits_via_idx
+from dmcam.datasets import load_mnist
 from dmcam.device import VariationParams
 from dmcam.encoder import derive_encoding, verify_encoding
 from dmcam.metric import DistanceMatrix, DistanceSpec, MetricKind, build_dm

@@ -2,6 +2,7 @@ import hashlib
 import json
 
 import pytest
+from conftest import synthetic_digits_via_idx
 
 from dmcam.apps import hdc_train
 from dmcam.cli import (
@@ -13,7 +14,7 @@ from dmcam.cli import (
     EXIT_USAGE,
     main,
 )
-from dmcam.datasets import synthetic_digits, synthetic_digits_via_idx
+from dmcam.datasets import synthetic_digits
 
 
 def run(argv):
@@ -708,6 +709,21 @@ def test_mc_expected_row_must_hold_one_winner(tmp_path, compiled_encoding_file, 
     assert run(["mc", "--encoding", str(compiled_encoding_file), "--stored", str(stored),
                 "--queries", str(queries), "--expected", str(expected), "--runs", "2"]) == EXIT_ERROR
     assert f"{expected} line {lineno}: expected 1 symbol, got 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("999\n0\n", "expected winners must lie in [0, 3)"),
+    ("-1\n0\n", "expected winners must lie in [0, 3)"),
+    ("0\n", "one expected winner per query is required, got 1 for 2 queries"),
+], ids=["above", "below", "count"])
+def test_mc_expected_errors_name_the_file(tmp_path, compiled_encoding_file, capsys, text, message):
+    stored, queries, expected = tmp_path / "s.csv", tmp_path / "q.csv", tmp_path / "e.csv"
+    _write_symbol_csv(stored, [[0, 0], [3, 3], [1, 2]])
+    _write_symbol_csv(queries, [[0, 0], [1, 2]])
+    expected.write_text(text)
+    assert run(["mc", "--encoding", str(compiled_encoding_file), "--stored", str(stored),
+                "--queries", str(queries), "--expected", str(expected), "--runs", "2"]) == EXIT_ERROR
+    assert f"dmcam: error: {expected}: {message}\n" == capsys.readouterr().err
 
 
 def test_simulate_rejects_saturating_ladder(tmp_path, compiled_encoding_file, capsys):

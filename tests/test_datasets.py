@@ -2,16 +2,9 @@ import gzip
 
 import numpy as np
 import pytest
+from conftest import synthetic_digits_via_idx, write_idx
 
-from dmcam.datasets import (
-    Dataset,
-    load_csv_dataset,
-    load_idx,
-    load_mnist,
-    synthetic_digits,
-    synthetic_digits_via_idx,
-    write_idx,
-)
+from dmcam.datasets import Dataset, load_csv_dataset, load_idx, load_mnist, synthetic_digits
 
 
 def test_idx_round_trip_labels(tmp_path):
