@@ -20,9 +20,14 @@ caller, `checked_symbols` checks symbols and narrows them once to the
 smallest unsigned dtype, and `entry_sums` senses queries QUERY_BLOCK at a
 time, which bounds its mask and gather buffers.
 
-A varied array evaluates the device model for every device, in buffers it
-keeps across redraws, so one array can be redrawn and sensed run after
-run without allocating; it must not be searched from two threads at once.
+A varied array keeps only its (vth, res) draws across redraws, and no res
+buffer is used while sigma_R is zero: the resistance stays a scalar. It
+draws and senses DEVICE_BLOCK devices' worth of rows at a time (a row wider
+than that is a block of its own), gathering nominal thresholds and
+evaluating the device model in block-sized buffers local to each call;
+a search takes its queries as many at a time as a block has rows and
+evaluates each block for all of them in turn. So two threads may search
+one varied array at once; a redraw must not overlap a search.
 
 Source-line clamping is modeled as ideal, so drain voltages depend on the
 query alone.
@@ -42,6 +47,7 @@ from .encoder import DEFAULT_LADDER, VoltageEncoding, VoltageLadder
 
 
 QUERY_BLOCK = 64  # queries per block in entry_sums; bounds its mask and gather buffers
+DEVICE_BLOCK = 2**17  # devices per row block of a varied array; bounds its draw and sense buffers
 
 
 def checked_symbols(values, levels: int, error: str) -> np.ndarray:
@@ -111,14 +117,17 @@ def smallest_k(values: np.ndarray, kq: int) -> np.ndarray:
     """Indices of the kq smallest values along the last axis, in ascending order.
 
     Ties go to the lowest index, so this equals
-    ``np.argsort(values, axis=-1, kind="stable")[..., :kq]``: a partition finds
-    the kq-th smallest value, every value below it is kept, the lowest-index
-    values equal to it fill the rest, and only the kq kept are sorted.
+    ``np.argsort(values, axis=-1, kind="stable")[..., :kq]``: kq = 1 is one
+    argmin; otherwise a partition finds the kq-th smallest value, every value
+    below it is kept, the lowest-index values equal to it fill the rest, and
+    only the kq kept are sorted.
     """
     values = np.asarray(values)
     rows = values.shape[-1]
     if not 1 <= kq <= rows:  # np.partition would wrap a kth of -1 around
         raise ValueError(f"kq must be in [1, {rows}]")
+    if kq == 1:  # argmin returns the first minimum, the lowest index
+        return np.argmin(values, axis=-1)[..., None]
     flat = values.reshape(-1, rows)
     cut = np.partition(flat, kq - 1, axis=-1)[:, kq - 1:kq]
     below = flat < cut
@@ -175,15 +184,15 @@ class Crossbar:
         )
 
         self._units = None  # (m, n) cell currents in unit multiples, while nominal
-        self._vth = self._res = None  # per-device draws, while varied
-        # Made on the first varied draw, then kept, each (rows, dims, k): the
-        # nominal thresholds, the (vth, res) draw and the (current, on) sensing buffers.
-        self._vth0 = self._draw_buffers = self._sense_buffers = None
+        # The (vth, res) draw buffers, each (rows, dims, k): made on the first
+        # varied draw, then kept. While varied, _res is the res buffer, or the
+        # scalar resistance when sigma_R is zero.
+        self._draws = self._res = None
         if _nominal(variation):
             self._program_nominal()
             return
         # One draw per row, in row order: a seed keeps reproducing its stream.
-        self._draw(variation, np.random.default_rng(variation.seed), range(self.rows))
+        self._draw(variation, np.random.default_rng(variation.seed), by_row=True)
 
     # -- geometry ----------------------------------------------------------
 
@@ -226,20 +235,43 @@ class Crossbar:
             )
         self._units = units
 
-    def _draw(self, params: VariationParams, rng: np.random.Generator, parts) -> None:
-        """Draw every device from rng into the kept buffers, one part of the array after another."""
-        if self._vth0 is None:
-            self._vth0 = self._vth_by_symbol[self._stored]
-            shape = self._vth0.shape
-            self._draw_buffers = np.empty(shape), np.empty(shape)
-            self._sense_buffers = np.empty(shape), np.empty(shape, dtype=bool)
-        vth, res = self._draw_buffers
-        for part in parts:
-            sample_variation(self._vth0[part], self.ladder.resistance, params, rng,
-                             out=(vth[part], res[part]))
+    def _row_blocks(self) -> list[slice]:
+        """Row blocks of at most DEVICE_BLOCK devices; a row wider than that is a block of its own."""
+        step = max(1, DEVICE_BLOCK // (self.dims * self.k))
+        return [slice(start, min(start + step, self.rows)) for start in range(0, self.rows, step)]
+
+    def _draw(self, params: VariationParams, rng: np.random.Generator, by_row: bool) -> None:
+        """Draw every device from rng into the kept buffers, a row block at a time.
+
+        by_row draws each row's thresholds and then its resistances, row
+        after row; otherwise every threshold is drawn before any resistance.
+        Nominal thresholds are gathered into a block-sized buffer. A zero
+        sigma draws nothing: the vth buffer then holds the nominal
+        thresholds, and the resistance stays a scalar.
+        """
+        if self._draws is None:
+            shape = (self.rows, self.dims, self.k)
+            self._draws = np.empty(shape), np.empty(shape)
+        vth, res = self._draws
+        # The symbols are checked, so mode="clip" clips nothing; it lets take fill out unbuffered.
+        if params.sigma_vth == 0:
+            np.take(self._vth_by_symbol, self._stored, axis=0, out=vth, mode="clip")
+        blocks = self._row_blocks()
+        nominal = np.empty((blocks[0].stop, self.dims, self.k))
+        if by_row:
+            passes = [params]
+        else:
+            passes = [VariationParams(params.sigma_vth, 0.0), VariationParams(0.0, params.sigma_r_rel)]
+        for sigmas in passes:
+            for block in blocks:
+                base = vth[block]
+                if sigmas.sigma_vth > 0:
+                    base = np.take(self._vth_by_symbol, self._stored[block], axis=0,
+                                   out=nominal[:len(base)], mode="clip")
+                for part in range(len(base)) if by_row else [slice(None)]:
+                    sample_variation(base[part], self.ladder.resistance, sigmas, rng,
+                                     out=(vth[block][part], res[block][part]))
         self._units = None
-        # A zero sigma draws nothing: the nominal thresholds, or the scalar resistance.
-        self._vth = vth if params.sigma_vth > 0 else self._vth0
         self._res = res if params.sigma_r_rel > 0 else self.ladder.resistance
 
     def resample_variation(self, rng: np.random.Generator, params: VariationParams) -> None:
@@ -248,9 +280,8 @@ class Crossbar:
         Zero sigmas draw nothing and leave the array nominal.
         """
         if not _nominal(params):
-            self._draw(params, rng, [...])
+            self._draw(params, rng, by_row=False)
         elif self._units is None:
-            self._vth = self._res = None
             self._program_nominal()
 
     # -- search ------------------------------------------------------------
@@ -259,7 +290,8 @@ class Crossbar:
         """Per-row currents in amperes: (rows,) for one query, (Q, rows) for a (Q, dims) batch.
 
         A nominal array sums its unit table exactly and scales once by the
-        unit current; a varied array evaluates every device per query.
+        unit current; a varied array evaluates every device per query, one
+        row block at a time.
         """
         q = checked_symbols(query, self.encoding.m, "query symbols must lie in [0, m)")
         if q.ndim not in (1, 2) or q.shape[-1] != self.dims:
@@ -268,11 +300,25 @@ class Crossbar:
         if self._units is not None:
             currents = entry_sums(self._units, self._stored, batch) * self.unit_current
         else:
+            vth = self._draws[0]
             currents = np.empty((len(batch), self.rows))
-            for i, symbols in enumerate(batch):
-                vgs, vds = self._vgs_by_symbol[symbols], self._vds_by_symbol[symbols]
-                cells = conduct(vgs, vds, self._vth, self._res, out=self._sense_buffers)
-                currents[i] = cells.sum(axis=(1, 2))
+            blocks = self._row_blocks()
+            step = blocks[0].stop  # rows per block, and queries per chunk
+            shape = (step, self.dims, self.k)
+            current, on = np.empty(shape), np.empty(shape, dtype=bool)
+            parts = []  # per block: its rows, thresholds, resistance and (current, on) buffers
+            for block in blocks:
+                size = block.stop - block.start
+                res = self._res if np.isscalar(self._res) else self._res[block]
+                parts.append((block, vth[block], res, (current[:size], on[:size])))
+            # Each block's draws are read once per chunk of queries, not once per query.
+            for start in range(0, len(batch), step):
+                chunk = batch[start:start + step]
+                vgs, vds = self._vgs_by_symbol[chunk], self._vds_by_symbol[chunk]
+                for block, vth_block, res_block, out in parts:
+                    for i in range(len(chunk)):
+                        cells = conduct(vgs[i], vds[i], vth_block, res_block, out=out)
+                        currents[start + i, block] = cells.sum(axis=(1, 2))
         return currents if q.ndim == 2 else currents[0]
 
     def search(self, query) -> QueryResult:

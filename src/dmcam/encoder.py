@@ -10,6 +10,7 @@ branches of a cell this must reproduce the compiled distance entry.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -192,6 +193,9 @@ class VoltageLadder:
     resistance: float = float(2**20)  # ~1.05 Mohm
 
     def __post_init__(self) -> None:
+        for name in ("vgs_base", "vth_base", "step", "unit_vds", "resistance"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.step <= 0 or self.unit_vds <= 0 or self.resistance <= 0:
             raise ValueError("step, unit_vds and resistance must be positive")
         if not (self.vth_base - self.step < self.vgs_base < self.vth_base):

@@ -737,6 +737,24 @@ def test_simulate_rejects_saturating_ladder(tmp_path, compiled_encoding_file, ca
     assert "saturates" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--step", "inf"),  # made every current 0 and exited 0
+    ("--resistance", "inf"),  # reported a saturating ladder
+    ("--unit-vds", "nan"),
+    ("--vgs-base", "nan"),
+    ("--vth-base", "inf"),
+])
+def test_simulate_rejects_non_finite_ladder(tmp_path, compiled_encoding_file, capsys, flag, value):
+    stored = tmp_path / "stored.csv"
+    queries = tmp_path / "queries.csv"
+    _write_symbol_csv(stored, [[0, 0], [3, 3]])
+    _write_symbol_csv(queries, [[0, 0]])
+    assert run(["simulate", "--encoding", str(compiled_encoding_file),
+                "--stored", str(stored), "--queries", str(queries), flag, value]) == EXIT_ERROR
+    field = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err == f"dmcam: error: {field} must be finite, got {float(value)}\n"
+
+
 HAMMING_GRID = "0,1,1,2\n1,0,2,1\n1,2,0,1\n2,1,1,0\n"
 
 

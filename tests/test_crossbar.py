@@ -1,3 +1,8 @@
+import hashlib
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -221,6 +226,113 @@ def test_variation_determinism(hamming_compiled):
     found_a, found_b = a.search(q), b.search(q)
     assert found_a.row_currents.tolist() == found_b.row_currents.tolist()
     assert found_a.winner == found_b.winner
+
+
+# Recorded before a varied array sensed and drew a row block at a time: each
+# shape spans several blocks, a single block, or rows wider than one block.
+VARIED_SHAPES = [(100, 784), (10, 10000), (37, 50), (2, 50000)]
+VARIED_SIGMAS = [VariationParams(0.054, 0.08), VariationParams(0.054, 0.0),
+                 VariationParams(0.0, 0.08)]
+VARIED_GOLDEN = {
+    ('hamming', 100, 784):
+        "e510a12a412084f9b7b972b9ec8621677620f2426af53b8e9740e79d02ccbdc2",
+    ('hamming', 10, 10000):
+        "7c4882e9f1349afe0d8e049c4c4015174b87642c89b4ed1d30495862e04ac02c",
+    ('hamming', 37, 50):
+        "c0ec583f050bf3dcad90e9a1953dad29812b9630f4c302f7017f3f2513d4e328",
+    ('hamming', 2, 50000):
+        "c37de277ef4fb4b8c0a8cb0d28fc052eb01cebab41f2a93f69d309fcceb40ef9",
+    ('sq_euclidean', 100, 784):
+        "708197a4795453bc1e9eba47766858a7da4c8b386dec5ded16ea7086cf0074bc",
+    ('sq_euclidean', 10, 10000):
+        "291ee82ba920d1ed67be305a9b02b595099b37e7c156348a0874a5e5557ed28e",
+    ('sq_euclidean', 37, 50):
+        "8953e60f370bf2f3092f2eef911869eb0dc961e8d111dd6cfc72a55f0274f6c5",
+    ('sq_euclidean', 2, 50000):
+        "36045b3ba2b7bbdaff51bdbd98b3b8f8f7dc43b6f1468e1afd6b6f995881372f",
+}
+
+
+def _varied_blobs(compiled, rows, dims):
+    rng = np.random.default_rng(rows * dims)
+    stored = rng.integers(0, compiled.dm.n, (rows, dims))
+    queries = rng.integers(0, compiled.dm.m, (3, dims))
+    redrawn = Crossbar(compiled.encoding, stored)
+    for seed, sigmas in enumerate(VARIED_SIGMAS):
+        params = VariationParams(sigmas.sigma_vth, sigmas.sigma_r_rel, seed=seed)
+        built = Crossbar(compiled.encoding, stored, variation=params)  # one draw per row
+        yield built.row_currents(queries).tobytes()
+        yield built.row_currents(queries[1]).tobytes()
+        built.resample_variation(np.random.default_rng(seed + 10), params)  # whole-array draw
+        yield built.row_currents(queries).tobytes()
+        # the same redraw on an array whose last draw had other sigmas
+        redrawn.resample_variation(np.random.default_rng(seed + 10), params)
+        yield redrawn.row_currents(queries).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["hamming", "sq_euclidean"])
+@pytest.mark.parametrize("rows, dims", VARIED_SHAPES)
+def test_varied_row_currents_multi_block_golden(kind, rows, dims, request):
+    compiled = request.getfixturevalue(
+        {"hamming": "hamming_compiled", "sq_euclidean": "sq_euclid_compiled"}[kind])
+    digest = hashlib.sha256()
+    for blob in _varied_blobs(compiled, rows, dims):
+        digest.update(blob)
+    assert digest.hexdigest() == VARIED_GOLDEN[kind, rows, dims]
+
+
+def test_varied_golden_shapes_cover_every_block_case(hamming_compiled, sq_euclid_compiled):
+    for compiled in (hamming_compiled, sq_euclid_compiled):
+        fits = [(crossbar.DEVICE_BLOCK // (dims * compiled.encoding.k), rows)
+                for rows, dims in VARIED_SHAPES]
+        assert any(1 <= per_block < rows for per_block, rows in fits)  # several blocks
+        assert any(per_block >= rows for per_block, rows in fits)  # one block
+        assert any(per_block == 0 for per_block, _ in fits)  # rows wider than a block
+
+def test_concurrent_searches_of_one_varied_array(hamming_compiled):
+    # Sensing buffers belong to each call, so concurrent searches of one
+    # array (over several row blocks), from more threads than cores and with
+    # frequent thread switches, must each get the serial currents.
+    rng = np.random.default_rng(16)
+    stored = rng.integers(0, 4, (60, 784))
+    queries = rng.integers(0, 4, (6, 784))
+    cb = Crossbar(hamming_compiled.encoding, stored, variation=PAPER_SIGMAS)
+    serial = cb.row_currents(queries)
+    workers = (os.cpu_count() or 1) + 1
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(cb.row_currents, queries) for _ in range(2 * workers)]
+            found = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for currents in found:
+        assert np.array_equal(currents, serial)
+
+
+# Programs a varied array at the knn benchmark's shape (1000 x 784, k = 3),
+# redraws it once and searches 20 queries.
+_VARIED_KNN_SHAPE = """
+import numpy as np
+from dmcam.compiler import compile_dm
+from dmcam.crossbar import Crossbar
+from dmcam.device import VariationParams
+from dmcam.metric import DistanceSpec, MetricKind, build_dm
+encoding = compile_dm(build_dm(DistanceSpec(MetricKind.HAMMING, 2)), k_max=6).encoding
+rng = np.random.default_rng(0)
+params = VariationParams(0.054, 0.08, seed=1)
+cb = Crossbar(encoding, rng.integers(0, 4, (1000, 784)), variation=params)
+cb.resample_variation(rng, params)
+cb.search(rng.integers(0, 4, (20, 784)))
+"""
+
+
+def test_varied_array_keeps_only_its_draws(peak_rss_mb):
+    # The (vth, res) draws are 2 x 19 MB; whole-array nominal thresholds or
+    # sensing buffers would add about 19 MB each (the current) and 2 MB (the mask).
+    peak_mb = peak_rss_mb(_VARIED_KNN_SHAPE)
+    assert peak_mb < 95, f"peak RSS {peak_mb:.0f} MB"
 
 
 # -- Monte Carlo ---------------------------------------------------------------
