@@ -28,8 +28,9 @@ from .metric import DistanceMatrix
 # Columns of the HDC projection widened to float64 for one matmul.
 PROJECTION_BLOCK = 1024
 # Values in one temporary block of the projection draw and of a quantizer
-# fit (8 MB of int64 or float64).
-_BLOCK_VALUES = 1 << 20
+# fit (512 KB of int64 or float64): at the hdc benchmark's shape, 6 rows of a
+# 10000-wide projection or 65 features of 1000 samples.
+_BLOCK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)

@@ -78,15 +78,22 @@ def _add_device_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--resistance", type=float, default=d.resistance)
 
 
-def _worker_count(text: str) -> int:
-    """The --threads type: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """An argparse type that reads an integer of at least minimum."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+_worker_count = _int_at_least(1)
 
 
 def _env_threads() -> int:
@@ -100,7 +107,7 @@ def build_parser(defaults: dict | None = None) -> _Parser:
     parser = _Parser(prog="dmcam", description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="JSON file of flag defaults for the subcommand")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=_int_at_least(0), default=0)
     common.add_argument(
         "--threads",
         type=_worker_count,
@@ -218,7 +225,8 @@ def _config_value(action: argparse.Action, value):
     else:
         valid = isinstance(value, str) or (value is None and action.default is None)
     if not valid or (action.choices is not None and value not in action.choices):
-        raise SystemExit2(f"config key {action.dest!r}: invalid value {value!r}")
+        raise SystemExit2(f"config key {action.dest!r}: invalid value {value!r} "
+                          f"for {action.option_strings[-1]}")
     return value
 
 

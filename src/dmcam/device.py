@@ -73,16 +73,25 @@ def sample_variation(
     threshold is drawn before any resistance. A zero sigma consumes no
     randomness and returns that input unchanged, so a nominal scalar
     resistance stays a scalar. out is an optional (vth, resistance) pair of
-    float64 arrays of vth's shape that the draws are written into.
+    float64 arrays of vth's shape that the draws are written into. A sigma
+    whose draws overflow float64 raises ValueError naming it; the buffers
+    then hold partial draws.
     """
     shape = np.shape(vth)
     vth_buf, res_buf = (None, None) if out is None else out
-    if params.sigma_vth > 0:
-        shift = _scaled_normal(rng, params.sigma_vth, shape, vth_buf)
-        vth = np.add(shift, vth, out=shift)
-    if params.sigma_r_rel > 0:
-        factor = _scaled_normal(rng, params.sigma_r_rel, shape, res_buf)
-        factor += 1.0
-        np.maximum(factor, MIN_RESISTANCE_FACTOR, out=factor)
-        resistance = np.multiply(factor, resistance, out=factor)
+    try:
+        with np.errstate(over="raise"):
+            if params.sigma_vth > 0:
+                field = "sigma_vth"
+                shift = _scaled_normal(rng, params.sigma_vth, shape, vth_buf)
+                vth = np.add(shift, vth, out=shift)
+            if params.sigma_r_rel > 0:
+                field = "sigma_r_rel"
+                factor = _scaled_normal(rng, params.sigma_r_rel, shape, res_buf)
+                factor += 1.0
+                np.maximum(factor, MIN_RESISTANCE_FACTOR, out=factor)
+                resistance = np.multiply(factor, resistance, out=factor)
+    except FloatingPointError:
+        value = getattr(params, field)
+        raise ValueError(f"{field} = {value:g} overflows float64 in the drawn devices") from None
     return vth, resistance

@@ -80,7 +80,7 @@ def test_quantizer_fit_in_feature_blocks_equals_numpy(monkeypatch, block_values)
 
 
 def test_quantizer_fit_spanning_default_blocks_equals_numpy():
-    train = np.random.default_rng(8).uniform(-5.0, 5.0, (2000, 1100))  # 524 features a block
+    train = np.random.default_rng(8).uniform(-5.0, 5.0, (2000, 1100))  # 32 features a block
     assert np.array_equal(Quantizer.fit(train, bits=3).thresholds, _linear_quantiles(train, 3))
 
 
@@ -252,6 +252,14 @@ def test_hdc_train_and_encode_hold_no_full_size_copies(peak_rss_mb):
     # each add about 63-80 MB.
     peak_mb = peak_rss_mb(_HDC_TRAIN_AND_ENCODE)
     assert peak_mb < 180, f"peak RSS {peak_mb:.0f} MB"
+
+
+def test_hdc_train_and_encode_hold_only_small_block_temporaries(peak_rss_mb):
+    # With the projected training set alive, the projection draw and the
+    # quantizer fit take blocks of 2**16 values (0.5 MB). Blocks of 2**20
+    # values (8 MB each) read 149 MB here; 2**16 reads 139 MB.
+    peak_mb = peak_rss_mb(_HDC_TRAIN_AND_ENCODE)
+    assert peak_mb < 144, f"peak RSS {peak_mb:.0f} MB"
 
 
 def test_hdc_train_deterministic():

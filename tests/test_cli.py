@@ -674,21 +674,58 @@ def test_config_thread_count_below_one_is_usage_error(tmp_path, capsys):
     assert "config key 'threads': invalid value 0" in capsys.readouterr().err
 
 
+def _argv_of_each_command(tmp_path, encoding_file):
+    """A full argument list for every subcommand, over small inputs."""
+    stored, queries = tmp_path / "s.csv", tmp_path / "q.csv"
+    _write_symbol_csv(stored, [[0, 1], [3, 2]])
+    _write_symbol_csv(queries, [[0, 1]])
+    array = ["--encoding", str(encoding_file), "--stored", str(stored), "--queries", str(queries)]
+    return {
+        "dm": ["dm", "--metric", "hamming", "--bits", "1"],
+        "compile": ["compile", "--metric", "hamming", "--bits", "1"],
+        "verify": ["verify", "--metric", "hamming", "--encoding", str(encoding_file)],
+        "oracle": ["oracle", "--metric", "hamming", "--bits", "1", "--k", "1"],
+        "simulate": ["simulate", *array],
+        "mc": ["mc", *array, "--runs", "2"],
+        "bench": ["bench", "--pipeline", "knn", "--train-size", "20", "--test-size", "5",
+                  "--metric", "hamming", "--k-max", "4"],
+    }
+
+
+@pytest.mark.parametrize("command", ["dm", "compile", "verify", "oracle", "simulate", "mc",
+                                     "bench"])
+def test_negative_seed_is_usage_error(tmp_path, compiled_encoding_file, capsys, command):
+    argv = _argv_of_each_command(tmp_path, compiled_encoding_file)[command]
+    assert run([*argv, "--seed", "-1"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "argument --seed: must be at least 0, got -1" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    assert run(["--config", str(cfg), *argv]) == EXIT_USAGE
+    assert "config key 'seed': invalid value -1 for --seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--sigma-vth", "--sigma-r"])
+@pytest.mark.parametrize("command", ["simulate", "mc"])
+def test_overflowing_sigma_is_an_error(tmp_path, compiled_encoding_file, capsys, command, flag):
+    argv = _argv_of_each_command(tmp_path, compiled_encoding_file)[command]
+    # 50 rows of 2 symbols hold 300 devices: some |N(0, 1)| draw is far
+    # beyond the 1.8 at which 1e308 overflows.
+    _write_symbol_csv(tmp_path / "s.csv", [[r % 4, r // 4 % 4] for r in range(50)])
+    assert run([*argv, flag, "1e308"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    name = {"--sigma-vth": "sigma_vth", "--sigma-r": "sigma_r_rel"}[flag]
+    assert captured.err == f"dmcam: error: {name} = 1e+308 overflows float64 in the drawn devices\n"
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--sigma-vth", "nan"), ("--sigma-vth", "inf"), ("--sigma-r", "nan"), ("--sigma-r", "inf"),
 ])
 @pytest.mark.parametrize("command", ["simulate", "mc", "bench"])
 def test_non_finite_sigma_is_rejected(tmp_path, compiled_encoding_file, capsys, command,
                                       flag, value):
-    stored, queries = tmp_path / "s.csv", tmp_path / "q.csv"
-    _write_symbol_csv(stored, [[0, 1], [3, 2]])
-    _write_symbol_csv(queries, [[0, 1]])
-    if command == "bench":
-        argv = ["bench", "--pipeline", "knn", "--train-size", "20", "--test-size", "5",
-                "--metric", "hamming", "--k-max", "4"]
-    else:
-        argv = [command, "--encoding", str(compiled_encoding_file), "--stored", str(stored),
-                "--queries", str(queries)] + (["--runs", "2"] if command == "mc" else [])
+    argv = _argv_of_each_command(tmp_path, compiled_encoding_file)[command]
     assert run([*argv, flag, value]) == EXIT_ERROR
     assert "sigmas must be finite and nonnegative" in capsys.readouterr().err
 

@@ -103,3 +103,15 @@ def test_resistance_clamped_positive():
     _, rs = sample_variation(np.full(2000, VTH), RES, params, rng)
     assert np.all(rs >= 0.01 * RES)
     assert np.any(rs == 0.01 * RES)
+
+
+@pytest.mark.parametrize("params, name", [
+    (VariationParams(sigma_vth=1e308), "sigma_vth"),
+    (VariationParams(sigma_r_rel=1e308), "sigma_r_rel"),
+    (VariationParams(sigma_vth=0.054, sigma_r_rel=1e305), "sigma_r_rel"),
+])
+def test_overflowing_sigma_names_itself(params, name):
+    # 1000 draws: some |N(0, 1)| exceeds 2, and any draw beyond 1.8 overflows
+    # at 1e308; a relative 1e305 overflows once scaled by RES.
+    with pytest.raises(ValueError, match=f"{name} = .* overflows float64"):
+        sample_variation(np.full(1000, VTH), RES, params, np.random.default_rng(4))
