@@ -7,10 +7,10 @@ the sensing stage picks the row with the smallest current: the nearest
 stored vector under the compiled distance function. Ordering the rows by
 current yields k-nearest-neighbor order.
 
-At zero variation every cell current is an integer multiple of the unit
-current, so a nominal array keeps one table of unit multiples per
-(search, stored) symbol pair and senses a batch of queries exactly in unit
-space (`entry_sums`). Of the stored array and the query batch, the one
+Every array builds one table of unit multiples per (search, stored) symbol
+pair from the encoding's ranks and checks once that its ladder realizes
+it; a nominal array senses a batch of queries exactly in unit space
+(`entry_sums`). Of the stored array and the query batch, the one
 with more cells gets 0/1 masks, one per symbol but its first, and the
 other is gathered from the table: one base-row sum plus n - 1 GEMMs for
 n symbols on the mask side, the mask on the left of each GEMM (on knn's
@@ -20,14 +20,15 @@ caller, `checked_symbols` checks symbols and narrows them once to the
 smallest unsigned dtype, and `entry_sums` senses queries QUERY_BLOCK at a
 time, which bounds its mask and gather buffers.
 
-A varied array keeps only its (vth, res) draws across redraws, and no res
-buffer is used while sigma_R is zero: the resistance stays a scalar. It
-draws and senses DEVICE_BLOCK devices' worth of rows at a time (a row wider
-than that is a block of its own), gathering nominal thresholds and
-evaluating the device model in block-sized buffers local to each call;
-a search takes its queries as many at a time as a block has rows and
-evaluates each block for all of them in turn. So two threads may search
-one varied array at once; a redraw must not overlap a search.
+A varied array is that array plus its (vth, res) draws; a zero-sigma
+redraw drops them, as a draw that raises does. While sigma_R is zero the
+res buffer is unused and the resistance stays a scalar. It draws and
+senses DEVICE_BLOCK devices' worth of rows at a time (a row wider than
+that is a block of its own), gathering nominal thresholds and evaluating
+the device model in block-sized buffers local to each call; a search takes
+its queries as many at a time as a block has rows and evaluates each block
+for all of them in turn. So two threads may search one varied array at
+once; a redraw must not overlap a search.
 
 Source-line clamping is modeled as ideal, so drain voltages depend on the
 query alone.
@@ -183,16 +184,13 @@ class Crossbar:
             [[ladder.vds_volts(v) for v in entry] for entry in encoding.vds_multiples]
         )
 
-        self._units = None  # (m, n) cell currents in unit multiples, while nominal
-        # The (vth, res) draw buffers, each (rows, dims, k): made on the first
-        # varied draw, then kept. While varied, _res is the res buffer, or the
-        # scalar resistance when sigma_R is zero.
+        self._units = self._unit_table()  # (m, n) nominal cell currents in unit multiples
+        # The (vth, res) draw buffers, each (rows, dims, k), None exactly while nominal.
+        # While varied, _res is the res buffer, or the scalar resistance when sigma_R is zero.
         self._draws = self._res = None
-        if _nominal(variation):
-            self._program_nominal()
-            return
-        # One draw per row, in row order: a seed keeps reproducing its stream.
-        self._draw(variation, np.random.default_rng(variation.seed), by_row=True)
+        if not _nominal(variation):
+            # One draw per row, in row order: a seed keeps reproducing its stream.
+            self._draw(variation, np.random.default_rng(variation.seed), by_row=True)
 
     # -- geometry ----------------------------------------------------------
 
@@ -214,26 +212,28 @@ class Crossbar:
 
     # -- variation ---------------------------------------------------------
 
-    def _program_nominal(self) -> None:
-        """Tabulate every symbol pair's nominal cell current in unit multiples.
+    def _unit_table(self) -> np.ndarray:
+        """Every symbol pair's cell current in unit multiples, as VoltageEncoding.cell_multiple.
 
-        The device model runs once per (search, stored) symbol pair instead
-        of once per device. A ladder whose nominal cell currents are not
-        integer multiples of the unit current (a branch capped at
-        DEFAULT_ISAT) is rejected: sensing in unit space would misreport it.
+        The device model runs once per (search, stored) symbol pair, only to check
+        that the ladder realizes the table; one that does not (a branch at
+        DEFAULT_ISAT, float64 levels that overflow or round together) raises ValueError.
         """
+        enc = self.encoding
+        on = np.array(enc.vgs_ranks)[:, None] > np.array(enc.vth_ranks)[None]
+        units = (on * np.array(enc.vds_multiples, dtype=np.float64)[:, None]).sum(axis=2)
         unit = self.unit_current
         cells = conduct(
             self._vgs_by_symbol[:, None], self._vds_by_symbol[:, None],
             self._vth_by_symbol[None], self.ladder.resistance,
         ).sum(axis=2)
-        units = np.rint(cells / unit)
         if not np.allclose(cells, units * unit, rtol=1e-9, atol=0):
             raise ValueError(
-                "ladder saturates: nominal cell currents are not integer multiples "
-                f"of the unit current {unit:.6g} A (a branch reaches isat={DEFAULT_ISAT:.6g} A)"
+                "ladder saturates or overflows: nominal cell currents are not the encoding's "
+                f"multiples of the unit current {unit:.6g} A (a branch reaches isat="
+                f"{DEFAULT_ISAT:.6g} A, or float64 levels overflow or round together)"
             )
-        self._units = units
+        return units
 
     def _row_blocks(self) -> list[slice]:
         """Row blocks of at most DEVICE_BLOCK devices; a row wider than that is a block of its own."""
@@ -262,27 +262,31 @@ class Crossbar:
             passes = [params]
         else:
             passes = [VariationParams(params.sigma_vth, 0.0), VariationParams(0.0, params.sigma_r_rel)]
-        for sigmas in passes:
-            for block in blocks:
-                base = vth[block]
-                if sigmas.sigma_vth > 0:
-                    base = np.take(self._vth_by_symbol, self._stored[block], axis=0,
-                                   out=nominal[:len(base)], mode="clip")
-                for part in range(len(base)) if by_row else [slice(None)]:
-                    sample_variation(base[part], self.ladder.resistance, sigmas, rng,
-                                     out=(vth[block][part], res[block][part]))
-        self._units = None
+        try:
+            for sigmas in passes:
+                for block in blocks:
+                    base = vth[block]
+                    if sigmas.sigma_vth > 0:
+                        base = np.take(self._vth_by_symbol, self._stored[block], axis=0,
+                                       out=nominal[:len(base)], mode="clip")
+                    for part in range(len(base)) if by_row else [slice(None)]:
+                        sample_variation(base[part], self.ladder.resistance, sigmas, rng,
+                                         out=(vth[block][part], res[block][part]))
+        except BaseException:
+            self._draws = self._res = None  # a half-drawn array goes back to nominal
+            raise
         self._res = res if params.sigma_r_rel > 0 else self.ladder.resistance
 
     def resample_variation(self, rng: np.random.Generator, params: VariationParams) -> None:
         """Redraw every device perturbation from the given stream, in place.
 
-        Zero sigmas draw nothing and leave the array nominal.
+        Zero sigmas draw nothing and drop the draws, as a draw that raises
+        does: either leaves the array nominal.
         """
-        if not _nominal(params):
+        if _nominal(params):
+            self._draws = self._res = None
+        else:
             self._draw(params, rng, by_row=False)
-        elif self._units is None:
-            self._program_nominal()
 
     # -- search ------------------------------------------------------------
 
@@ -297,7 +301,7 @@ class Crossbar:
         if q.ndim not in (1, 2) or q.shape[-1] != self.dims:
             raise ValueError(f"query must have {self.dims} symbols")
         batch = q.reshape(-1, self.dims)
-        if self._units is not None:
+        if self._draws is None:
             currents = entry_sums(self._units, self._stored, batch) * self.unit_current
         else:
             vth = self._draws[0]

@@ -198,6 +198,11 @@ class VoltageLadder:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.step <= 0 or self.unit_vds <= 0 or self.resistance <= 0:
             raise ValueError("step, unit_vds and resistance must be positive")
+        if not (math.isfinite(self.unit_current) and self.unit_current > 0):
+            raise ValueError(
+                "unit_vds / resistance must be finite and positive, "
+                f"got {self.unit_vds:g} / {self.resistance:g} = {self.unit_current:g}"
+            )
         if not (self.vth_base - self.step < self.vgs_base < self.vth_base):
             raise ValueError(
                 "gate and threshold levels must interleave: "

@@ -774,22 +774,63 @@ def test_simulate_rejects_saturating_ladder(tmp_path, compiled_encoding_file, ca
     assert "saturates" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--step", "inf"),  # made every current 0 and exited 0
-    ("--resistance", "inf"),  # reported a saturating ladder
-    ("--unit-vds", "nan"),
-    ("--vgs-base", "nan"),
-    ("--vth-base", "inf"),
-])
-def test_simulate_rejects_non_finite_ladder(tmp_path, compiled_encoding_file, capsys, flag, value):
+def test_varied_simulate_rejects_saturating_ladder(tmp_path, compiled_encoding_file, capsys):
+    # A varied array checked no ladder: it exited 0 with every on-branch at isat.
     stored = tmp_path / "stored.csv"
     queries = tmp_path / "queries.csv"
     _write_symbol_csv(stored, [[0, 0], [3, 3]])
     _write_symbol_csv(queries, [[0, 0]])
     assert run(["simulate", "--encoding", str(compiled_encoding_file),
-                "--stored", str(stored), "--queries", str(queries), flag, value]) == EXIT_ERROR
+                "--stored", str(stored), "--queries", str(queries), "--resistance", "1000",
+                "--sigma-vth", "0.05", "--sigma-r", "0.05"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "saturates" in captured.err
+
+
+def test_bench_rejects_overflowing_step(capsys):
+    # Levels from rank 2 up overflow to inf; their currents used to tabulate
+    # to other integral multiples, so hardware and software disagreed and the
+    # run exited 0.
+    assert run(["bench", "--pipeline", "knn", "--metric", "hamming", "--train-size", "20",
+                "--test-size", "5", "--step", "1e308"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "saturates or overflows" in captured.err
+
+
+def _non_finite_field(flag, value):
     field = flag[2:].replace("-", "_")
-    assert capsys.readouterr().err == f"dmcam: error: {field} must be finite, got {float(value)}\n"
+    return pytest.param([flag, value], f"{field} must be finite, got {float(value)}",
+                        id=f"{flag}-{value}")
+
+
+def _non_finite_unit_current(unit_vds, resistance, unit):
+    # printed numpy RuntimeWarnings, then a unit current of inf or 0 A
+    return pytest.param(["--unit-vds", unit_vds, "--resistance", resistance],
+                        "unit_vds / resistance must be finite and positive, "
+                        f"got {unit_vds} / {resistance} = {unit}",
+                        id=f"--unit-vds-{unit_vds}--resistance-{resistance}")
+
+
+@pytest.mark.parametrize("flags, message", [
+    _non_finite_field("--step", "inf"),  # made every current 0 and exited 0
+    _non_finite_field("--resistance", "inf"),  # reported a saturating ladder
+    _non_finite_field("--unit-vds", "nan"),
+    _non_finite_field("--vgs-base", "nan"),
+    _non_finite_field("--vth-base", "inf"),
+    _non_finite_unit_current("1e+300", "1e-300", "inf"),
+    _non_finite_unit_current("1e-300", "1e+300", "0"),
+])
+def test_simulate_rejects_non_finite_ladder(tmp_path, compiled_encoding_file, capsys, flags,
+                                            message):
+    stored = tmp_path / "stored.csv"
+    queries = tmp_path / "queries.csv"
+    _write_symbol_csv(stored, [[0, 0], [3, 3]])
+    _write_symbol_csv(queries, [[0, 0]])
+    assert run(["simulate", "--encoding", str(compiled_encoding_file),
+                "--stored", str(stored), "--queries", str(queries), *flags]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"dmcam: error: {message}\n"
 
 
 HAMMING_GRID = "0,1,1,2\n1,0,2,1\n1,2,0,1\n2,1,1,0\n"

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -448,6 +449,50 @@ def test_saturating_ladder_rejected_at_zero_variation(hamming_compiled):
     ladder = VoltageLadder(unit_vds=10, resistance=1e5)
     with pytest.raises(ValueError, match="saturates"):
         Crossbar(hamming_compiled.encoding, [[0, 1]], ladder)
+
+
+@pytest.mark.parametrize("ladder", [
+    VoltageLadder(unit_vds=10, resistance=1e5),  # every on-branch at isat
+    VoltageLadder(step=1e308),  # levels from rank 2 up are inf, so inf > inf turns a branch off
+    VoltageLadder(vgs_base=1e16 - 2, vth_base=1e16, step=3),  # gate rank 2 rounds onto threshold 1
+], ids=["saturating", "overflowing", "rounding"])
+@pytest.mark.parametrize("variation", [None, PAPER_SIGMAS], ids=["nominal", "varied"])
+def test_every_array_rejects_a_ladder_that_misses_its_encoding(hamming_compiled, ladder,
+                                                                variation):
+    with pytest.raises(ValueError, match="saturates or overflows"):
+        Crossbar(hamming_compiled.encoding, [[0, 1], [3, 2]], ladder, variation)
+
+
+def test_raising_redraw_leaves_the_array_nominal(hamming_compiled):
+    # The redraw used to stop partway and keep a mix of new and old draws:
+    # 342 infinite thresholds here, and currents that matched no array.
+    rng = np.random.default_rng(16)
+    stored = rng.integers(0, 4, (200, 8))
+    queries = rng.integers(0, 4, (5, 8))
+    enc = hamming_compiled.encoding
+    cb = Crossbar(enc, stored, variation=VariationParams(0.05, 0.05))
+    with pytest.raises(ValueError, match="sigma_vth"):
+        cb.resample_variation(np.random.default_rng(1), VariationParams(1e308, 0.0))
+    assert np.array_equal(cb.row_currents(queries), Crossbar(enc, stored).row_currents(queries))
+    cb.resample_variation(np.random.default_rng(2), PAPER_SIGMAS)
+    assert np.array_equal(cb.row_currents(queries),
+                          _resampled(enc, stored, 2).row_currents(queries))
+
+
+def test_zero_sigma_redraw_frees_the_draws(hamming_compiled):
+    rng = np.random.default_rng(17)
+    stored = rng.integers(0, 4, (200, 784))
+    enc = hamming_compiled.encoding
+    draw_bytes = 2 * stored.size * enc.k * 8  # one float64 vth and one res per device
+    tracemalloc.start()
+    try:
+        cb = Crossbar(enc, stored, variation=PAPER_SIGMAS)
+        held = tracemalloc.get_traced_memory()[0]
+        cb.resample_variation(np.random.default_rng(0), VariationParams(0.0, 0.0))
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert freed >= draw_bytes
 
 
 def test_batch_returns_one_answer_per_query(hamming_compiled, hamming_dm):
