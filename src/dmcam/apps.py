@@ -246,14 +246,6 @@ def knn_classify(
 
 HDC_LEARNING_RATE = 0.1  # scale of one correction-epoch update
 
-# Correction epochs score blocks of samples with one GEMM only after this many
-# samples in a row needed no correction; a block then holds as many samples as
-# that clean run, up to _HDC_MAX_BLOCK, so it doubles while samples stay clean.
-# Correction-heavy stretches stay on the per-sample path, where most rows of a
-# block would be scored against class vectors that a correction then changes.
-_HDC_CLEAN_RUN = 32
-_HDC_MAX_BLOCK = 1024
-
 
 @dataclass
 class HDCModel:
@@ -264,10 +256,6 @@ class HDCModel:
     quantized_class_vectors: np.ndarray  # (classes, dimension) symbols
     quantizer: Quantizer  # fitted on projected training vectors
     corrections: tuple[int, ...] = ()  # correction updates per requested epoch
-
-    @property
-    def class_count(self) -> int:
-        return self.class_vectors.shape[0]
 
     def encode(self, x: np.ndarray) -> np.ndarray:
         """Project one sample (or a batch) and quantize to symbols.
@@ -295,23 +283,6 @@ def _project(x: np.ndarray, projection: np.ndarray) -> np.ndarray:
     return out
 
 
-def _score_slack(train_x: np.ndarray, dimension: int) -> np.ndarray:
-    """Per sample, the part of a score margin's bound that covers the dot products.
-
-    Two evaluations of a dot product of length D, in any summation order,
-    each lie within gamma_D * sum|c_i h_i| of the exact value, gamma_D =
-    D u / (1 - D u) (Higham, "Accuracy and Stability of Numerical
-    Algorithms", 2002, section 3.1). By Cauchy-Schwarz that sum is at most
-    ||c||_2 ||h||_2, and dividing by the class norm leaves 2 gamma_D ||h||_2
-    per score; a margin must beat two such errors. Every projection entry is
-    +-1, so ||h||_2 <= sqrt(D) ||x||_1. The extra factor 2 and the 1e-9
-    absorb the rounding of h, of the norms, of the margin and of the bound.
-    """
-    u = np.finfo(np.float64).eps / 2
-    gamma = dimension * u / (1 - dimension * u)
-    return 8 * gamma * np.sqrt(dimension) * np.abs(train_x).sum(axis=1) * (1 + 1e-9)
-
-
 def hdc_train(
     dataset: Dataset,
     dimension: int = 1024,
@@ -329,15 +300,9 @@ def hdc_train(
     magnitude (divided by class size) before sharing the train-fitted
     quantizer.
 
-    The epochs give bit for bit the model of scoring one sample at a time
-    (one GEMV against the class vectors, argmax with the lowest index
-    winning ties). After a run of clean samples they score a block of
-    samples with one GEMM. A sample of the block is accepted as it stands
-    only when its own class wins by more than a proven bound on the
-    difference between the GEMM and GEMV scores, so the GEMV would also
-    have picked it; every other sample is replayed exactly through the
-    per-sample step, and after a correction scoring resumes with the new
-    vectors. An epoch without a correction leaves the vectors unchanged, so
+    Each epoch scores one sample at a time: one GEMV against the class
+    vectors divided by their norms, argmax with the lowest index winning
+    ties. An epoch without a correction leaves the vectors unchanged, so
     every later epoch would repeat it: training stops there, and the
     skipped epochs count 0 in `corrections`.
     """
@@ -373,44 +338,16 @@ def hdc_train(
     # changes two class vectors, so only their norms are recomputed, with
     # the same whole-row reduction as the full norm.
     scale = np.maximum(np.linalg.norm(class_vectors, axis=1), 1e-12)
-    labels = dataset.train_y
-    label_list = labels.tolist()
-    samples = len(label_list)
-    slack = _score_slack(dataset.train_x, dimension) if epochs else None
     corrections = [0] * epochs
-    clean = 0  # samples in a row that needed no correction
     for epoch in range(epochs):
-        start = 0
-        while start < samples:
-            if clean < _HDC_CLEAN_RUN:
-                stop = start + 1
-                replay = (start,)
-            else:
-                # Accept a sample when its own class beats every other by more
-                # than the bound; the argmax of its GEMV is then its label too.
-                stop = min(samples, start + min(clean, _HDC_MAX_BLOCK))
-                scores = projected[start:stop] @ class_vectors.T / scale
-                # plus the rounding of the division in two scores, on both paths
-                bound = slack[start:stop].max() + 4 * np.spacing(np.abs(scores).max())
-                cells = (np.arange(stop - start), labels[start:stop])
-                margin = scores[cells]
-                scores[cells] = -np.inf
-                margin -= scores.max(axis=1)
-                replay = start + np.flatnonzero(~(margin > bound))
-            for i in replay:
-                h, label = projected[i], label_list[i]
-                pred = int((class_vectors @ h / scale).argmax())
-                if pred != label:
-                    class_vectors[label] += HDC_LEARNING_RATE * h
-                    class_vectors[pred] -= HDC_LEARNING_RATE * h
-                    changed = [label, pred]
-                    scale[changed] = np.maximum(np.linalg.norm(class_vectors[changed], axis=1), 1e-12)
-                    corrections[epoch] += 1
-                    clean, stop = 0, i + 1
-                    break
-            else:
-                clean += stop - start
-            start = stop
+        for h, label in zip(projected, dataset.train_y.tolist()):
+            pred = int((class_vectors @ h / scale).argmax())
+            if pred != label:
+                class_vectors[label] += HDC_LEARNING_RATE * h
+                class_vectors[pred] -= HDC_LEARNING_RATE * h
+                changed = [label, pred]
+                scale[changed] = np.maximum(np.linalg.norm(class_vectors[changed], axis=1), 1e-12)
+                corrections[epoch] += 1
         if not corrections[epoch]:
             break
 

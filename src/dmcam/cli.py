@@ -366,7 +366,8 @@ def _array_inputs(args):
     """The encoding, stored rows, query rows and ladder that simulate and mc program."""
     encoding = load_encoding(args.encoding)
     stored = _load_symbols(args.stored, encoding.n, "stored symbols must lie in [0, n)")
-    queries = _load_symbols(args.queries, encoding.m, "query symbols must lie in [0, m)")
+    queries = _load_symbols(args.queries, encoding.m, "query symbols must lie in [0, m)",
+                            width=stored.shape[1])
     return encoding, stored, queries, _ladder_from_args(args)
 
 
@@ -435,6 +436,9 @@ def cmd_bench(args) -> int:
     from . import apps
 
     dm = _dm_from_args(args)
+    if min(dm.m, dm.n) < 2 ** args.bits:  # a negative --bits is left to the quantizer
+        raise SystemExit2(f"--bits {args.bits} needs at least {2 ** args.bits} search and stored "
+                          f"symbols; the {dm.m}x{dm.n} matrix has too few")
     ds = _load_bench_dataset(args)
     cr = _levels_from_args(args, dm)
     compiled = compile_dm(dm, cr, k_max=args.k_max)

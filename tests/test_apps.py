@@ -301,7 +301,9 @@ def test_hdc_train_golden(seed, epochs):
 def _per_sample_hdc_train(dataset, dimension, bits, epochs, seed):
     """Reference trainer: one GEMV per sample in every requested epoch.
 
-    Returns the model and the corrections made in each epoch.
+    Unlike hdc_train it draws the projection in one call, projects with one
+    whole GEMM and never stops early. Returns the model and the corrections
+    made in each epoch.
     """
     rng = np.random.default_rng(seed)
     projection = rng.integers(0, 2, (dataset.feature_count, dimension)).astype(np.float64)
@@ -339,8 +341,8 @@ def _exact_tie_dataset():
     """A clean run of class 2, then one sample stored in classes 0 and 1 alike.
 
     Classes 0 and 1 accumulate the same vector, so the tied sample scores
-    exactly equal on both: a block must replay it, the lowest index wins, and
-    every copy labelled 1 is corrected.
+    exactly equal on both: the lowest index wins, and every copy labelled 1
+    is corrected.
     """
     rng = np.random.default_rng(12)
     clean = np.zeros((80, 16))
@@ -415,7 +417,7 @@ def test_hdc_stored_class_vector_maps_to_its_row(hamming_compiled):
     ds = _small_dataset(seed=8)
     model = hdc_train(ds, dimension=128, bits=2, seed=8)
     cb = hdc_class_crossbar(model, hamming_compiled.encoding)
-    for row in range(model.class_count):
+    for row in range(len(model.class_vectors)):
         assert cb.search(model.quantized_class_vectors[row]).winner == row
 
 

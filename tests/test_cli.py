@@ -325,6 +325,17 @@ def test_mc_rejects_impossible_expected_winner(tmp_path, compiled_encoding_file,
     assert "expected winners must lie in [0, 2)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "mc"])
+def test_queries_must_match_the_stored_width(tmp_path, compiled_encoding_file, capsys, command):
+    stored = tmp_path / "s.csv"
+    queries = tmp_path / "q.csv"
+    _write_symbol_csv(stored, [[0, 1, 2], [3, 2, 1]])
+    _write_symbol_csv(queries, [[0, 1]])
+    assert run([command, "--encoding", str(compiled_encoding_file),
+                "--stored", str(stored), "--queries", str(queries)]) == EXIT_ERROR
+    assert f"{queries} line 1: expected 3 symbols, got 2" in capsys.readouterr().err
+
+
 def test_bench_knn_zero_variation(tmp_path):
     out = tmp_path / "knn.json"
     preds = tmp_path / "preds.csv"
@@ -857,8 +868,21 @@ def test_bench_custom_replaces_metric(tmp_path, capsys):
     code = run(["bench", "--pipeline", "knn", "--dataset", "synthetic",
                 "--train-size", "20", "--test-size", "5",
                 "--custom", str(small), "--metric", "hamming"])
-    assert code == EXIT_ERROR
-    assert "stored symbols must lie in [0, n)" in capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "the 2x2 matrix has too few" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pipeline", ["knn", "hdc"])
+def test_bench_custom_needs_a_symbol_per_level(tmp_path, capsys, pipeline):
+    # refused before the dataset is read: the CSV files named do not exist
+    grid = tmp_path / "three.csv"
+    grid.write_text("0,1,2\n1,0,1\n2,1,0\n")
+    absent = str(tmp_path / "absent.csv")
+    code = run(["bench", "--pipeline", pipeline, "--custom", str(grid), "--bits", "2",
+                "--dataset", "csv", "--train-csv", absent, "--test-csv", absent])
+    assert code == EXIT_USAGE
+    assert ("--bits 2 needs at least 4 search and stored symbols; the 3x3 matrix has too few"
+            in capsys.readouterr().err)
 
 
 def _non_integer_encodings(golden_encoding):
