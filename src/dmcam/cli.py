@@ -16,6 +16,7 @@ same flags reproduces its data outputs byte for byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -70,12 +71,9 @@ def _add_metric_flags(p: argparse.ArgumentParser) -> None:
 def _add_device_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma-vth", type=float, default=0.0, help="threshold sigma in volts")
     p.add_argument("--sigma-r", type=float, default=0.0, help="relative resistance sigma")
-    d = DEFAULT_LADDER
-    p.add_argument("--vgs-base", type=float, default=d.vgs_base)
-    p.add_argument("--vth-base", type=float, default=d.vth_base)
-    p.add_argument("--step", type=float, default=d.step)
-    p.add_argument("--unit-vds", type=float, default=d.unit_vds)
-    p.add_argument("--resistance", type=float, default=d.resistance)
+    for f in dataclasses.fields(VoltageLadder):  # --vgs-base ... --resistance, in field order
+        p.add_argument("--" + f.name.replace("_", "-"), type=float,
+                       default=getattr(DEFAULT_LADDER, f.name))
 
 
 def _int_at_least(minimum: int):
@@ -267,24 +265,14 @@ def _variation_from_args(args: argparse.Namespace):
 
 
 def _ladder_from_args(args: argparse.Namespace) -> VoltageLadder:
-    return VoltageLadder(
-        vgs_base=args.vgs_base,
-        vth_base=args.vth_base,
-        step=args.step,
-        unit_vds=args.unit_vds,
-        resistance=args.resistance,
-    )
-
-
-def _load_symbol_csv(path: str, width: int | None = None) -> list[list[int]]:
-    return csv_rows(read_input(path), path, width=width, cell="symbol")
+    return VoltageLadder(**{f.name: getattr(args, f.name) for f in dataclasses.fields(VoltageLadder)})
 
 
 def _load_symbols(path: str, levels: int, error: str, width: int | None = None):
     """A symbol CSV as checked symbols; one outside [0, levels) raises ValueError naming the file."""
     from .crossbar import checked_symbols
 
-    rows = _load_symbol_csv(path, width)
+    rows = csv_rows(read_input(path), path, width=width, cell="symbol")
     try:
         return checked_symbols(rows, levels, error)
     except ValueError as exc:

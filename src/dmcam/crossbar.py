@@ -173,18 +173,21 @@ class Crossbar:
         if self._stored.ndim != 2 or self._stored.shape[0] < 1 or self._stored.shape[1] < 1:
             raise ValueError("stored must be a nonempty rows x dims matrix")
 
-        # Per-symbol lookup tables in volts.
-        self._vth_by_symbol = np.array(
-            [[ladder.vth_volts(r) for r in entry] for entry in encoding.vth_ranks]
-        )
-        self._vgs_by_symbol = np.array(
-            [[ladder.vgs_volts(r) for r in entry] for entry in encoding.vgs_ranks]
-        )
-        self._vds_by_symbol = np.array(
-            [[ladder.vds_volts(v) for v in entry] for entry in encoding.vds_multiples]
-        )
-
-        self._units = self._unit_table()  # (m, n) nominal cell currents in unit multiples
+        try:
+            # Per-symbol lookup tables in volts.
+            self._vth_by_symbol = np.array(
+                [[ladder.vth_volts(r) for r in entry] for entry in encoding.vth_ranks]
+            )
+            self._vgs_by_symbol = np.array(
+                [[ladder.vgs_volts(r) for r in entry] for entry in encoding.vgs_ranks]
+            )
+            self._vds_by_symbol = np.array(
+                [[ladder.vds_volts(v) for v in entry] for entry in encoding.vds_multiples]
+            )
+            self._units = self._unit_table()  # (m, n) nominal cell currents in unit multiples
+        except OverflowError:  # an integer rank or multiple beyond float64's range
+            raise ValueError("ladder saturates or overflows: a rank or drain multiple of the "
+                             "encoding is too large for a float64 level") from None
         # The (vth, res) draw buffers, each (rows, dims, k), None exactly while nominal.
         # While varied, _res is the res buffer, or the scalar resistance when sigma_R is zero.
         self._draws = self._res = None
@@ -213,15 +216,16 @@ class Crossbar:
     # -- variation ---------------------------------------------------------
 
     def _unit_table(self) -> np.ndarray:
-        """Every symbol pair's cell current in unit multiples, as VoltageEncoding.cell_multiple.
+        """Every symbol pair's cell current in unit multiples, built with cell_multiple.
 
-        The device model runs once per (search, stored) symbol pair, only to check
+        VoltageEncoding.cell_multiple is the rule verify_encoding checks. The
+        device model runs once per (search, stored) symbol pair, only to check
         that the ladder realizes the table; one that does not (a branch at
         DEFAULT_ISAT, float64 levels that overflow or round together) raises ValueError.
         """
         enc = self.encoding
-        on = np.array(enc.vgs_ranks)[:, None] > np.array(enc.vth_ranks)[None]
-        units = (on * np.array(enc.vds_multiples, dtype=np.float64)[:, None]).sum(axis=2)
+        units = np.array([[enc.cell_multiple(s, t) for t in range(enc.n)] for s in range(enc.m)],
+                         dtype=np.float64)
         unit = self.unit_current
         cells = conduct(
             self._vgs_by_symbol[:, None], self._vds_by_symbol[:, None],

@@ -41,6 +41,8 @@ class Dataset:
             raise ValueError("feature matrices must be 2-D")
         if self.train_x.shape[1] != self.test_x.shape[1]:
             raise ValueError("train and test must share the feature count")
+        if self.train_x.shape[1] == 0:
+            raise ValueError("samples must have at least one feature")
         if len(self.train_y) != len(self.train_x) or len(self.test_y) != len(self.test_x):
             raise ValueError("labels must match their feature matrices")
         for split, x in (("train", self.train_x), ("test", self.test_x)):
@@ -136,11 +138,14 @@ def load_mnist(
 def load_csv_dataset(train_path: str | Path, test_path: str | Path) -> Dataset:
     """Rows of 'feature,...,feature,label'; blank and '#' lines are skipped.
 
-    A label that is not an integer raises ValueError naming its file.
+    A row with no feature cell or a label that is not an integer raises
+    ValueError naming its file.
     """
     splits = []
     for split, path in (("train", train_path), ("test", test_path)):
         rows = np.asarray(csv_rows(read_input(path), path, float))
+        if rows.shape[1] < 2:
+            raise ValueError(f"{path}: rows must hold at least one feature before the label")
         try:
             splits += [rows[:, :-1], _integer_labels(rows[:, -1], split)]
         except ValueError as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .metric import DistanceMatrix, as_integer, read_input
@@ -146,15 +146,7 @@ class VerifyReport:
         return {
             "passed": self.passed,
             "checked": self.checked,
-            "mismatches": [
-                {
-                    "search": mm.search,
-                    "store": mm.store,
-                    "expected": mm.expected,
-                    "actual": mm.actual,
-                }
-                for mm in self.mismatches
-            ],
+            "mismatches": [asdict(mm) for mm in self.mismatches],
         }
 
 

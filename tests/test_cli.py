@@ -270,6 +270,33 @@ def test_simulate_outputs_winner(tmp_path, compiled_encoding_file, capsys):
     assert row1[3] == "4.000000" and row1[4] == "0"
 
 
+def test_simulate_takes_every_ladder_flag(tmp_path, compiled_encoding_file, capsys):
+    stored = tmp_path / "stored.csv"
+    queries = tmp_path / "queries.csv"
+    _write_symbol_csv(stored, [[0, 1, 2], [3, 2, 1]])
+    _write_symbol_csv(queries, [[1, 1, 1], [0, 3, 2]])
+    argv = ["simulate", "--encoding", str(compiled_encoding_file),
+            "--stored", str(stored), "--queries", str(queries)]
+    defaults = {"vgs_base": 0.3, "vth_base": 0.5, "step": 0.4, "unit_vds": 0.125,
+                "resistance": 2.0**20}
+    assert run(argv) == EXIT_OK
+    config = json.loads(capsys.readouterr().out.splitlines()[0].removeprefix("# config: "))
+    assert {name: config[name] for name in defaults} == defaults
+    flags = ["--vgs-base", "0.35", "--vth-base", "0.55", "--step", "0.45", "--unit-vds", "0.1",
+             "--resistance", "1e6"]
+    assert run([*argv, *flags]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    config = json.loads(lines[0].removeprefix("# config: "))
+    assert {name: config[name] for name in defaults} == {
+        "vgs_base": 0.35, "vth_base": 0.55, "step": 0.45, "unit_vds": 0.1, "resistance": 1e6}
+    unit = 0.1 / 1e6
+    rows = [line.split(",") for line in lines[2:]]
+    assert len(rows) == 4
+    for _, _, current_a, current_units, _ in rows:
+        assert float(current_units) == pytest.approx(float(current_a) / unit, abs=1e-6)
+    assert any(float(current_units) > 0 for _, _, _, current_units, _ in rows)
+
+
 def test_simulate_reproducible_with_variation(tmp_path, compiled_encoding_file):
     stored = tmp_path / "s.csv"
     queries = tmp_path / "q.csv"
@@ -844,6 +871,26 @@ def test_simulate_rejects_non_finite_ladder(tmp_path, compiled_encoding_file, ca
     assert capsys.readouterr().err == f"dmcam: error: {message}\n"
 
 
+@pytest.mark.parametrize("where", ["stored", "vds"])
+@pytest.mark.parametrize("command", ["simulate", "mc"])
+def test_encoding_beyond_float64_is_refused(tmp_path, compiled_encoding_file, capsys, command,
+                                             where):
+    # verify takes such ranks (integer arithmetic); the array's float64 levels
+    # raised OverflowError with a traceback.
+    data = json.loads(compiled_encoding_file.read_text())
+    if where == "stored":
+        data["stored"]["0"][0] = 10**400
+    else:
+        data["search"]["0"]["vds"][0] = 10**400
+    enc = tmp_path / "huge.json"
+    enc.write_text(json.dumps(data))
+    argv = _argv_of_each_command(tmp_path, enc)[command]
+    assert run(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("dmcam: error: ladder saturates or overflows: ")
+
+
 HAMMING_GRID = "0,1,1,2\n1,0,2,1\n1,2,0,1\n2,1,1,0\n"
 
 
@@ -927,3 +974,18 @@ def test_bench_rejects_fractional_csv_labels(tmp_path, capsys):
                 "--metric", "hamming", "--bits", "2"])
     assert code == EXIT_ERROR
     assert "train labels must be integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pipeline", ["knn", "hdc"])
+def test_bench_rejects_a_csv_with_only_labels(tmp_path, capsys, pipeline):
+    # hdc exited 0 on all-zero projections; knn exited 1 naming no file
+    labels = tmp_path / "labels.csv"
+    labels.write_text("1\n0\n1\n")
+    code = run(["bench", "--pipeline", pipeline, "--dataset", "csv",
+                "--train-csv", str(labels), "--test-csv", str(labels),
+                "--metric", "hamming", "--bits", "2", "--dimension", "16"])
+    assert code == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"dmcam: error: {labels}: rows must hold at least one feature "
+                            "before the label\n")

@@ -132,3 +132,9 @@ def test_dataset_validation():
         Dataset("bad", x, y, np.zeros((0, 3)), np.zeros(0, dtype=int))
     with pytest.raises(ValueError, match="test features must be finite"):
         Dataset("bad", x, y, np.full((4, 3), np.inf), y)
+
+
+def test_dataset_needs_a_feature_column():
+    empty = np.zeros((3, 0))
+    with pytest.raises(ValueError, match="at least one feature"):
+        Dataset("none", empty, [0, 1, 0], empty, [1, 0, 1])
