@@ -155,8 +155,11 @@ def majority_label(neighbor_labels: Sequence[int]) -> int:
 
 
 @dataclass(frozen=True)
-class HdcReport:
-    """Accuracy of the array and of its software twin, with per-query predictions."""
+class PipelineReport:
+    """Array and software-twin accuracy with per-query predictions, for KNN and HDC.
+
+    to_dict holds the three shared figures; the KNN summary adds degradation_pp.
+    """
 
     accuracy_hw: float
     accuracy_sw: float
@@ -178,25 +181,17 @@ class HdcReport:
             predictions_sw=tuple(int(p) for p in preds_sw),
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "accuracy_hw": self.accuracy_hw,
-            "accuracy_sw": self.accuracy_sw,
-            "agreement": self.agreement,
-        }
-
-
-@dataclass(frozen=True)
-class KnnReport(HdcReport):
-    """The same comparison; the KNN summary also reports the accuracy shortfall."""
-
     @property
     def degradation_pp(self) -> float:
         """Hardware accuracy shortfall versus software, in percentage points."""
         return (self.accuracy_sw - self.accuracy_hw) * 100.0
 
     def to_dict(self) -> dict:
-        return {**super().to_dict(), "degradation_pp": self.degradation_pp}
+        return {
+            "accuracy_hw": self.accuracy_hw,
+            "accuracy_sw": self.accuracy_sw,
+            "agreement": self.agreement,
+        }
 
 
 # -- k-nearest-neighbor -------------------------------------------------------
@@ -213,7 +208,7 @@ def knn_classify(
     kq: int = 1,
     ladder: VoltageLadder = DEFAULT_LADDER,
     variation: Optional[VariationParams] = None,
-) -> KnnReport:
+) -> PipelineReport:
     """Store the quantized training set row-per-sample and classify queries.
 
     The software twin ranks rows by exact integer distance with the same
@@ -238,7 +233,7 @@ def knn_classify(
         block = test_q[start:start + QUERY_BLOCK]
         preds_hw += vote(cb.knn(block, kq))
         preds_sw += vote(software_knn_order(dm, stored_q, block, kq))
-    return KnnReport.from_predictions(preds_hw, preds_sw, test_y)
+    return PipelineReport.from_predictions(preds_hw, preds_sw, test_y)
 
 
 # -- hyperdimensional classification -------------------------------------------
@@ -378,9 +373,9 @@ def hdc_evaluate(
     test_y: np.ndarray,
     cb: Crossbar,
     dm: DistanceMatrix,
-) -> HdcReport:
+) -> PipelineReport:
     """Classify each test sample on the class array and with the software twin."""
     queries = model.encode(test_x)
     preds_hw = cb.search(queries).winner
     preds_sw = software_nearest(dm, model.quantized_class_vectors, queries)
-    return HdcReport.from_predictions(preds_hw, preds_sw, test_y)
+    return PipelineReport.from_predictions(preds_hw, preds_sw, test_y)

@@ -155,7 +155,7 @@ def build_parser(defaults: dict | None = None) -> _Parser:
     p.add_argument("--stored", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--expected", help="CSV of expected winner rows (default: ideal winners)")
-    p.add_argument("--runs", type=int, default=100)
+    p.add_argument("--runs", type=_int_at_least(1), default=100)
     _add_device_flags(p)
     p.add_argument("--out", help="per-run outcome CSV path")
     p.add_argument("--report", help="summary JSON path")
@@ -171,9 +171,9 @@ def build_parser(defaults: dict | None = None) -> _Parser:
     _add_metric_flags(p)
     p.add_argument("--levels", default="auto")
     p.add_argument("--k-max", type=int, default=8)
-    p.add_argument("--kq", type=int, default=1)
-    p.add_argument("--dimension", type=int, default=1024)
-    p.add_argument("--epochs", type=int, default=0)
+    p.add_argument("--kq", type=_int_at_least(1), default=1)
+    p.add_argument("--dimension", type=_int_at_least(1), default=1024)
+    p.add_argument("--epochs", type=_int_at_least(0), default=0)
     _add_device_flags(p)
     p.add_argument("--out", help="summary JSON path")
     p.add_argument("--predictions", help="per-query prediction CSV path")
@@ -448,6 +448,7 @@ def cmd_bench(args) -> int:
             dm=dm, encoding=compiled.encoding, bits=args.bits, kq=args.kq,
             ladder=ladder, variation=variation,
         )
+        summary["degradation_pp"] = report.degradation_pp
     else:
         model = apps.hdc_train(ds, args.dimension, args.bits, args.epochs, args.seed)
         cb = apps.hdc_class_crossbar(model, compiled.encoding, ladder, variation)
@@ -493,7 +494,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"dmcam: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"dmcam: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -314,18 +314,16 @@ class Crossbar:
             step = blocks[0].stop  # rows per block, and queries per chunk
             shape = (step, self.dims, self.k)
             current, on = np.empty(shape), np.empty(shape, dtype=bool)
-            parts = []  # per block: its rows, thresholds, resistance and (current, on) buffers
-            for block in blocks:
-                size = block.stop - block.start
-                res = self._res if np.isscalar(self._res) else self._res[block]
-                parts.append((block, vth[block], res, (current[:size], on[:size])))
             # Each block's draws are read once per chunk of queries, not once per query.
             for start in range(0, len(batch), step):
                 chunk = batch[start:start + step]
                 vgs, vds = self._vgs_by_symbol[chunk], self._vds_by_symbol[chunk]
-                for block, vth_block, res_block, out in parts:
+                for block in blocks:
+                    size = block.stop - block.start
+                    vth_block, out = vth[block], (current[:size], on[:size])
+                    res = self._res if np.isscalar(self._res) else self._res[block]
                     for i in range(len(chunk)):
-                        cells = conduct(vgs[i], vds[i], vth_block, res_block, out=out)
+                        cells = conduct(vgs[i], vds[i], vth_block, res, out=out)
                         currents[start + i, block] = cells.sum(axis=(1, 2))
         return currents if q.ndim == 2 else currents[0]
 

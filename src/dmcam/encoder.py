@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .metric import DistanceMatrix, as_integer, read_input
@@ -68,11 +68,7 @@ class VoltageEncoding:
 
     def cell_multiple(self, s: int, t: int) -> int:
         """Total current multiple of one cell: the encoded distance."""
-        return sum(
-            self.vds_multiples[s][i]
-            for i in range(self.k)
-            if self.vgs_ranks[s][i] > self.vth_ranks[t][i]
-        )
+        return sum(self.vds_multiples[s][i] for i in range(self.k) if self.is_on(s, t, i))
 
 
 def derive_encoding(ga: GlobalAssignment) -> VoltageEncoding:
@@ -143,11 +139,7 @@ class VerifyReport:
     mismatches: tuple[Mismatch, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checked": self.checked,
-            "mismatches": [asdict(mm) for mm in self.mismatches],
-        }
+        return asdict(self)
 
 
 def verify_encoding(enc: VoltageEncoding, dm: DistanceMatrix) -> VerifyReport:
@@ -185,7 +177,7 @@ class VoltageLadder:
     resistance: float = float(2**20)  # ~1.05 Mohm
 
     def __post_init__(self) -> None:
-        for name in ("vgs_base", "vth_base", "step", "unit_vds", "resistance"):
+        for name in (f.name for f in fields(self)):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.step <= 0 or self.unit_vds <= 0 or self.resistance <= 0:
@@ -243,19 +235,16 @@ def _symbol_table(section: dict, what: str) -> list:
     return [section[key] for key in keys]
 
 
-def import_encoding(source: str | dict) -> VoltageEncoding:
-    """Parse the JSON schema back into an encoding, validating ranks.
+def import_encoding(text: str) -> VoltageEncoding:
+    """Parse JSON text in the export schema back into an encoding, validating ranks.
 
     k, ranks and multiples must be JSON integers: 1.7 or "3" is rejected,
     not truncated.
     """
-    if isinstance(source, str):
-        try:
-            data = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"encoding JSON is malformed: {exc}") from exc
-    else:
-        data = source
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"encoding JSON is malformed: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError("encoding JSON must be an object")
     try:

@@ -542,6 +542,8 @@ def extract_solution(region: FeasibleRegion) -> Optional[GlobalAssignment]:
     the live bitset of every later row, a pick that empties one is skipped,
     and a row's candidates are visited lowest position first.
     """
+    if region.feasible and region._support is None:  # a region ac3 did not build
+        region = ac3(region.domains)
     if not region.feasible:
         return None
     domains, index, live = region._support

@@ -488,8 +488,50 @@ def test_bench_hdc_rejects_negative_epochs(capsys):
     code = run(["bench", "--pipeline", "hdc", "--dataset", "synthetic",
                 "--train-size", "20", "--test-size", "5", "--epochs", "-1",
                 "--metric", "hamming", "--bits", "2", "--dimension", "16"])
-    assert code == EXIT_ERROR
-    assert "epochs must be >= 0, got -1" in capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "argument --epochs: must be at least 0, got -1" in capsys.readouterr().err
+
+
+# The files named do not exist: a count flag out of range is refused (exit 3,
+# naming the flag) before any input is read, on the command line and in a config file.
+@pytest.mark.parametrize("command, flag, value, minimum", [
+    ("bench", "--kq", 0, 1),
+    ("bench", "--dimension", 0, 1),
+    ("bench", "--epochs", -1, 0),
+    ("mc", "--runs", 0, 1),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_count_flag_out_of_range_is_refused_before_reading(tmp_path, capsys, command, flag,
+                                                          value, minimum, source):
+    missing = str(tmp_path / "missing.csv")
+    argv = {
+        "bench": ["bench", "--pipeline", "hdc" if flag == "--epochs" else "knn",
+                  "--dataset", "csv", "--train-csv", missing, "--test-csv", missing,
+                  "--metric", "hamming"],
+        "mc": ["mc", "--encoding", missing, "--stored", missing, "--queries", missing],
+    }[command]
+    key = flag[2:]
+    if source == "flag":
+        assert run([*argv, flag, str(value)]) == EXIT_USAGE
+        message = f"argument {flag}: must be at least {minimum}, got {value}"
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert run(["--config", str(cfg), *argv]) == EXIT_USAGE
+        message = f"config key {key!r}: invalid value {value} for {flag}"
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pipeline, present, absent", [
+    ("knn", "degradation_pp", "corrections"),
+    ("hdc", "corrections", "degradation_pp"),
+])
+def test_bench_summary_keys_per_pipeline(capsys, pipeline, present, absent):
+    assert run(["bench", "--pipeline", pipeline, "--train-size", "40", "--test-size", "8",
+                "--metric", "hamming", "--dimension", "64"]) == EXIT_OK
+    summary = json.loads(capsys.readouterr().out)
+    assert {"accuracy_hw", "accuracy_sw", "agreement", present} <= summary.keys()
+    assert absent not in summary
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):

@@ -203,21 +203,21 @@ def test_import_rejects_zero_drain_multiple(golden_encoding):
     data = json.loads(export_encoding(golden_encoding))
     data["search"]["0"]["vds"][0] = 0
     with pytest.raises(ValueError):
-        import_encoding(data)
+        import_encoding(json.dumps(data))
 
 
 def test_import_rejects_negative_rank(golden_encoding):
     data = json.loads(export_encoding(golden_encoding))
     data["stored"]["1"][0] = -1
     with pytest.raises(ValueError):
-        import_encoding(data)
+        import_encoding(json.dumps(data))
 
 
 def test_import_rejects_boolean_rank(golden_encoding):
     data = json.loads(export_encoding(golden_encoding))
     data["stored"]["3"] = [True] * golden_encoding.k
     with pytest.raises(ValueError, match="must be an integer"):
-        import_encoding(data)
+        import_encoding(json.dumps(data))
 
 
 def test_encoding_rejects_non_integer_fields():
@@ -235,7 +235,7 @@ def test_import_rejects_non_contiguous_symbols(golden_encoding):
     data = json.loads(export_encoding(golden_encoding))
     data["stored"]["7"] = data["stored"].pop("3")
     with pytest.raises(ValueError):
-        import_encoding(data)
+        import_encoding(json.dumps(data))
 
 
 def test_table_csv_renders_bit_labels(golden_encoding):

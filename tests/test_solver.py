@@ -8,6 +8,7 @@ from dmcam.metric import DistanceMatrix, DistanceSpec, MetricKind, build_dm
 from dmcam.solver import (
     BudgetExceededError,
     CurrentRange,
+    FeasibleRegion,
     GlobalAssignment,
     RowAssignment,
     ac3,
@@ -227,6 +228,20 @@ def test_extract_none_when_ac3_passes_but_no_global_pick():
     assert extract_solution(region) is None
     # brute-force confirmation on the raw domains
     assert _global_picks(domains) == set()
+
+
+@pytest.mark.parametrize("kind", list(MetricKind))
+def test_extract_from_a_region_ac3_did_not_build(kind):
+    # A region built by hand holds no support index: extraction prunes it
+    # first and picks what it picks from ac3's own region.
+    dm = build_dm(DistanceSpec(kind, 2))
+    cr = CurrentRange.covering(dm.max_entry)
+    for k in range(2, 6):
+        lines = [backtrack_row([decompose_dm(k, v, cr) for v in row]) for row in dm.entries]
+        region = ac3(lines)
+        expected = extract_solution(region)
+        assert extract_solution(FeasibleRegion(region.domains, region.feasible)) == expected
+        assert extract_solution(FeasibleRegion(tuple(map(tuple, lines)), True)) == expected
 
 
 def test_extracted_solution_chains_validate(hamming_dm):
