@@ -21,14 +21,17 @@ smallest unsigned dtype, and `entry_sums` senses queries QUERY_BLOCK at a
 time, which bounds its mask and gather buffers.
 
 A varied array is that array plus its (vth, res) draws; a zero-sigma
-redraw drops them, as a draw that raises does. While sigma_R is zero the
-res buffer is unused and the resistance stays a scalar. It draws and
-senses DEVICE_BLOCK devices' worth of rows at a time (a row wider than
-that is a block of its own), gathering nominal thresholds and evaluating
-the device model in block-sized buffers local to each call; a search takes
-its queries as many at a time as a block has rows and evaluates each block
-for all of them in turn. So two threads may search one varied array at
-once; a redraw must not overlap a search.
+redraw drops them, as a draw that raises does. The constructor is the
+nominal array plus one redraw from default_rng(variation.seed), so every
+draw takes one order: every threshold, block by block, then every
+resistance. While sigma_R is zero the res buffer is unused and the
+resistance stays a scalar. It draws and senses DEVICE_BLOCK devices'
+worth of rows at a time (a row wider than that is a block of its own),
+gathering nominal thresholds and evaluating the device model in
+block-sized buffers local to each call; a search takes its queries as
+many at a time as a block has rows and evaluates each block for all of
+them in turn. So two threads may search one varied array at once; a
+redraw must not overlap a search.
 
 Source-line clamping is modeled as ideal, so drain voltages depend on the
 query alone.
@@ -140,10 +143,6 @@ def smallest_k(values: np.ndarray, kq: int) -> np.ndarray:
     return np.take_along_axis(kept, order, axis=-1).reshape(values.shape[:-1] + (kq,))
 
 
-def _nominal(variation: Optional[VariationParams]) -> bool:
-    return variation is None or (variation.sigma_vth == 0 and variation.sigma_r_rel == 0)
-
-
 @dataclass(frozen=True, eq=False)
 class QueryResult:
     """The row currents of one search call plus its winning (minimum-current) rows.
@@ -191,9 +190,8 @@ class Crossbar:
         # The (vth, res) draw buffers, each (rows, dims, k), None exactly while nominal.
         # While varied, _res is the res buffer, or the scalar resistance when sigma_R is zero.
         self._draws = self._res = None
-        if not _nominal(variation):
-            # One draw per row, in row order: a seed keeps reproducing its stream.
-            self._draw(variation, np.random.default_rng(variation.seed), by_row=True)
+        if variation is not None:  # a seed draws the devices a redraw from its stream draws
+            self.resample_variation(np.random.default_rng(variation.seed), variation)
 
     # -- geometry ----------------------------------------------------------
 
@@ -244,15 +242,19 @@ class Crossbar:
         step = max(1, DEVICE_BLOCK // (self.dims * self.k))
         return [slice(start, min(start + step, self.rows)) for start in range(0, self.rows, step)]
 
-    def _draw(self, params: VariationParams, rng: np.random.Generator, by_row: bool) -> None:
-        """Draw every device from rng into the kept buffers, a row block at a time.
+    def resample_variation(self, rng: np.random.Generator, params: VariationParams) -> None:
+        """Redraw every device perturbation from the given stream, in place.
 
-        by_row draws each row's thresholds and then its resistances, row
-        after row; otherwise every threshold is drawn before any resistance.
-        Nominal thresholds are gathered into a block-sized buffer. A zero
-        sigma draws nothing: the vth buffer then holds the nominal
-        thresholds, and the resistance stays a scalar.
+        Every threshold is drawn, a row block at a time, before any
+        resistance; nominal thresholds are gathered into a block-sized
+        buffer. A zero sigma draws nothing: the vth buffer then holds the
+        nominal thresholds, and the resistance stays a scalar. Both sigmas
+        at zero drop the draws, as a draw that raises does: either leaves
+        the array nominal.
         """
+        if params.sigma_vth == 0 and params.sigma_r_rel == 0:
+            self._draws = self._res = None
+            return
         if self._draws is None:
             shape = (self.rows, self.dims, self.k)
             self._draws = np.empty(shape), np.empty(shape)
@@ -262,35 +264,20 @@ class Crossbar:
             np.take(self._vth_by_symbol, self._stored, axis=0, out=vth, mode="clip")
         blocks = self._row_blocks()
         nominal = np.empty((blocks[0].stop, self.dims, self.k))
-        if by_row:
-            passes = [params]
-        else:
-            passes = [VariationParams(params.sigma_vth, 0.0), VariationParams(0.0, params.sigma_r_rel)]
         try:
-            for sigmas in passes:
+            for sigmas in (VariationParams(params.sigma_vth, 0.0),
+                           VariationParams(0.0, params.sigma_r_rel)):
                 for block in blocks:
                     base = vth[block]
                     if sigmas.sigma_vth > 0:
                         base = np.take(self._vth_by_symbol, self._stored[block], axis=0,
                                        out=nominal[:len(base)], mode="clip")
-                    for part in range(len(base)) if by_row else [slice(None)]:
-                        sample_variation(base[part], self.ladder.resistance, sigmas, rng,
-                                         out=(vth[block][part], res[block][part]))
+                    sample_variation(base, self.ladder.resistance, sigmas, rng,
+                                     out=(vth[block], res[block]))
         except BaseException:
             self._draws = self._res = None  # a half-drawn array goes back to nominal
             raise
         self._res = res if params.sigma_r_rel > 0 else self.ladder.resistance
-
-    def resample_variation(self, rng: np.random.Generator, params: VariationParams) -> None:
-        """Redraw every device perturbation from the given stream, in place.
-
-        Zero sigmas draw nothing and drop the draws, as a draw that raises
-        does: either leaves the array nominal.
-        """
-        if _nominal(params):
-            self._draws = self._res = None
-        else:
-            self._draw(params, rng, by_row=False)
 
     # -- search ------------------------------------------------------------
 

@@ -25,7 +25,10 @@ MIN_RESISTANCE_FACTOR = 0.01
 
 @dataclass(frozen=True)
 class VariationParams:
-    """Gaussian device-to-device spread and the seed of its sampling stream."""
+    """Gaussian device-to-device spread and the seed of its sampling stream.
+
+    Crossbar(..., variation=params) draws what a redraw from default_rng(seed) draws.
+    """
 
     sigma_vth: float = 0.0
     sigma_r_rel: float = 0.0

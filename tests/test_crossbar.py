@@ -134,8 +134,9 @@ def test_non_integer_symbols_rejected(hamming_compiled, bad):
 
 
 def test_row_currents_match_scalar_device_model(hamming_compiled):
-    # Replays the array's per-row variation stream device by device and sums
-    # scalar branch currents in Python order.
+    # Draws the whole array's devices in one sample_variation call, the
+    # sampler's own order (the array draws per block and per sigma pass), and
+    # sums scalar branch currents in Python order.
     rng = np.random.default_rng(21)
     stored = rng.integers(0, 4, (3, 5))
     cb = Crossbar(hamming_compiled.encoding, stored, variation=PAPER_SIGMAS)
@@ -143,28 +144,30 @@ def test_row_currents_match_scalar_device_model(hamming_compiled):
     enc = hamming_compiled.encoding
     ladder = cb.ladder
     currents = np.asarray(cb.search(query).row_currents)
-    stream = np.random.default_rng(PAPER_SIGMAS.seed)
+    nominal = np.array([[[ladder.vth_volts(r) for r in enc.vth_ranks[t]] for t in row]
+                        for row in stored])
+    vth, res = sample_variation(nominal, ladder.resistance, PAPER_SIGMAS,
+                                np.random.default_rng(PAPER_SIGMAS.seed))
     for row in range(3):
-        nominal = [[ladder.vth_volts(r) for r in enc.vth_ranks[t]] for t in stored[row]]
-        vth, res = sample_variation(np.array(nominal), ladder.resistance, PAPER_SIGMAS, stream)
         total = 0.0
         for dim in range(5):
             sym = int(query[dim])
             for br in range(enc.k):
                 vgs = ladder.vgs_volts(enc.vgs_ranks[sym][br])
                 vds = ladder.vds_volts(enc.vds_multiples[sym][br])
-                total += float(conduct(vgs, vds, vth[dim, br], res[dim, br]))
+                total += float(conduct(vgs, vds, vth[row, dim, br], res[row, dim, br]))
         assert currents[row] == pytest.approx(total, rel=1e-12)
 
 
 def test_seeded_variation_row_currents_golden(golden_encoding):
-    # Values recorded before the per-row and whole-array samplers were merged:
-    # a seed must keep drawing the same devices across versions.
+    # The currents of the same array built nominal and redrawn with
+    # resample_variation(default_rng(3), VariationParams(0.054, 0.08)), recorded
+    # while the constructor still drew row by row.
     stored = [[0, 1, 2, 3], [3, 2, 1, 0], [1, 1, 2, 2]]
     cb = Crossbar(golden_encoding, stored, variation=VariationParams(0.054, 0.08, seed=3))
     result = cb.search([0, 1, 3, 2])
     assert result.row_currents.tolist() == [
-        2.349559039861662e-07, 7.823461000760528e-07, 2.3143275005942717e-07,
+        2.360910123120747e-07, 7.262283054345606e-07, 2.3143275005942717e-07,
     ]
     assert result.winner == 2
 
@@ -227,30 +230,43 @@ def test_variation_determinism(hamming_compiled):
     found_a, found_b = a.search(q), b.search(q)
     assert found_a.row_currents.tolist() == found_b.row_currents.tolist()
     assert found_a.winner == found_b.winner
+    # The constructor draws the devices a redraw from default_rng(seed) draws,
+    # on one block and on several, with both sigmas and with each alone.
+    enc = hamming_compiled.encoding
+    rng = np.random.default_rng(5)
+    for stored, queries in ((rng.integers(0, 4, (6, 8)), rng.integers(0, 4, (3, 8))),
+                            (rng.integers(0, 4, (100, 784)), rng.integers(0, 4, (3, 784)))):
+        for params in (VariationParams(0.054, 0.08, seed=5), VariationParams(0.054, 0.0, seed=5),
+                       VariationParams(0.0, 0.08, seed=5)):
+            built = Crossbar(enc, stored, variation=params).row_currents(queries)
+            redrawn = _resampled(enc, stored, params.seed, params).row_currents(queries)
+            assert np.array_equal(built, redrawn)
 
 
-# Recorded before a varied array sensed and drew a row block at a time: each
-# shape spans several blocks, a single block, or rows wider than one block.
+# Each shape spans several blocks, a single block, or rows wider than one
+# block. The digests were recorded with every constructor draw replaced by a
+# nominal array redrawn from default_rng(seed), while the constructor still
+# drew row by row.
 VARIED_SHAPES = [(100, 784), (10, 10000), (37, 50), (2, 50000)]
 VARIED_SIGMAS = [VariationParams(0.054, 0.08), VariationParams(0.054, 0.0),
                  VariationParams(0.0, 0.08)]
 VARIED_GOLDEN = {
     ('hamming', 100, 784):
-        "e510a12a412084f9b7b972b9ec8621677620f2426af53b8e9740e79d02ccbdc2",
+        "75d79d90b473b58884e016daaffcf40dfaa1ce5baee04a58f365dc3b51802c71",
     ('hamming', 10, 10000):
-        "7c4882e9f1349afe0d8e049c4c4015174b87642c89b4ed1d30495862e04ac02c",
+        "c6dc1e359af760336b8e5029ccdc2184da9d500b8340346a05d75adf73288351",
     ('hamming', 37, 50):
-        "c0ec583f050bf3dcad90e9a1953dad29812b9630f4c302f7017f3f2513d4e328",
+        "3c68748cdb7536b6447bc5e6e61a03506dcc0d15b8fd9561b32b2250bd2cd26b",
     ('hamming', 2, 50000):
-        "c37de277ef4fb4b8c0a8cb0d28fc052eb01cebab41f2a93f69d309fcceb40ef9",
+        "16d46e065bc1a08539ad6344ab36f8b449215268eb2d03484cb938eeaa21dca5",
     ('sq_euclidean', 100, 784):
-        "708197a4795453bc1e9eba47766858a7da4c8b386dec5ded16ea7086cf0074bc",
+        "34b22e4134d09406f1800393035f83b82be89b7f8a314f0dd34b4506f0c95597",
     ('sq_euclidean', 10, 10000):
-        "291ee82ba920d1ed67be305a9b02b595099b37e7c156348a0874a5e5557ed28e",
+        "9092c70da603926af650e22ab3e11d5bfa57d274ac185fba18b0451ac87f3a37",
     ('sq_euclidean', 37, 50):
-        "8953e60f370bf2f3092f2eef911869eb0dc961e8d111dd6cfc72a55f0274f6c5",
+        "152f0fdafe799c8b5d67f2221984bc8438fb91da95c07b7faf8f30857896f014",
     ('sq_euclidean', 2, 50000):
-        "36045b3ba2b7bbdaff51bdbd98b3b8f8f7dc43b6f1468e1afd6b6f995881372f",
+        "721c6c509fae824dd8fe3151dcdd13b00dc251f0a121fc73bf5619b21dead820",
 }
 
 
@@ -261,10 +277,10 @@ def _varied_blobs(compiled, rows, dims):
     redrawn = Crossbar(compiled.encoding, stored)
     for seed, sigmas in enumerate(VARIED_SIGMAS):
         params = VariationParams(sigmas.sigma_vth, sigmas.sigma_r_rel, seed=seed)
-        built = Crossbar(compiled.encoding, stored, variation=params)  # one draw per row
+        built = Crossbar(compiled.encoding, stored, variation=params)  # draws as a redraw from seed
         yield built.row_currents(queries).tobytes()
         yield built.row_currents(queries[1]).tobytes()
-        built.resample_variation(np.random.default_rng(seed + 10), params)  # whole-array draw
+        built.resample_variation(np.random.default_rng(seed + 10), params)  # another seed
         yield built.row_currents(queries).tobytes()
         # the same redraw on an array whose last draw had other sigmas
         redrawn.resample_variation(np.random.default_rng(seed + 10), params)
