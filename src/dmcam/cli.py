@@ -8,9 +8,9 @@ programmed array), mc (Monte-Carlo accuracy under variation) and bench
 simulator modules, inside the command, so the other subcommands start without them.
 
 Exit codes: 0 success, 2 infeasible or failed verification (a valid answer),
-3 bad usage, 4 unreadable input file, 5 enumeration budget exceeded,
-1 any other error. All randomness is seeded; rerunning a command with the
-same flags reproduces its data outputs byte for byte.
+3 bad usage, 4 a file that cannot be read or written, 5 enumeration budget
+exceeded, 1 any other error. All randomness is seeded; rerunning a command
+with the same flags reproduces its data outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -69,6 +68,7 @@ def _add_metric_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_device_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--sigma-vth", type=float, default=0.0, help="threshold sigma in volts")
     p.add_argument("--sigma-r", type=float, default=0.0, help="relative resistance sigma")
     for f in dataclasses.fields(VoltageLadder):  # --vgs-base ... --resistance, in field order
@@ -91,37 +91,16 @@ def _int_at_least(minimum: int):
     return parse
 
 
-_worker_count = _int_at_least(1)
-
-
-def _env_threads() -> int:
-    try:
-        return _worker_count(os.environ.get("DMCAM_THREADS", "1"))
-    except argparse.ArgumentTypeError as exc:
-        raise SystemExit2(f"DMCAM_THREADS {exc}") from None
-
-
 def build_parser(defaults: dict | None = None) -> _Parser:
     parser = _Parser(prog="dmcam", description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="JSON file of flag defaults for the subcommand")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_int_at_least(0), default=0)
-    common.add_argument(
-        "--threads",
-        type=_worker_count,
-        default=_env_threads(),
-        help="worker cap for parallelizable stages",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name, help_text):
-        return sub.add_parser(name, help=help_text, parents=[common])
-
-    p = add_command("dm", "build or load a distance matrix and print it as CSV")
+    p = sub.add_parser("dm", help="build or load a distance matrix and print it as CSV")
     _add_metric_flags(p)
     p.add_argument("--out")
 
-    p = add_command("compile", "solve for the minimal cell and emit an encoding")
+    p = sub.add_parser("compile", help="solve for the minimal cell and emit an encoding")
     _add_metric_flags(p)
     p.add_argument("--levels", default="auto", help="current multiples, e.g. 0,1,2 (auto = 0..max entry)")
     p.add_argument("--k", type=int, help="probe only this cell size (--k-max is ignored)")
@@ -131,36 +110,37 @@ def build_parser(defaults: dict | None = None) -> _Parser:
     p.add_argument("--report", help="feasibility report JSON path")
     p.add_argument("--table", help="human-readable encoding table CSV path")
 
-    p = add_command("verify", "check an encoding JSON against a distance matrix")
+    p = sub.add_parser("verify", help="check an encoding JSON against a distance matrix")
     _add_metric_flags(p)
     p.add_argument("--encoding", required=True)
     p.add_argument("--out", help="report JSON path")
 
-    p = add_command("oracle", "brute-force feasibility verdict for a fixed cell size")
+    p = sub.add_parser("oracle", help="brute-force feasibility verdict for a fixed cell size")
     _add_metric_flags(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--levels", default="auto")
     p.add_argument("--dump", action="store_true", help="print a witness decomposition when feasible")
     p.add_argument("--out", help="verdict JSON path")
 
-    p = add_command("simulate", "program an array and run query searches")
+    p = sub.add_parser("simulate", help="program an array and run query searches")
     p.add_argument("--encoding", required=True)
     p.add_argument("--stored", required=True, help="CSV of stored symbol vectors")
     p.add_argument("--queries", required=True, help="CSV of query symbol vectors")
     _add_device_flags(p)
     p.add_argument("--out", help="results CSV path")
 
-    p = add_command("mc", "Monte-Carlo winner accuracy under device variation")
+    p = sub.add_parser("mc", help="Monte-Carlo winner accuracy under device variation")
     p.add_argument("--encoding", required=True)
     p.add_argument("--stored", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--expected", help="CSV of expected winner rows (default: ideal winners)")
     p.add_argument("--runs", type=_int_at_least(1), default=100)
+    p.add_argument("--threads", type=_int_at_least(1), default=1, help="Monte-Carlo worker cap")
     _add_device_flags(p)
     p.add_argument("--out", help="per-run outcome CSV path")
     p.add_argument("--report", help="summary JSON path")
 
-    p = add_command("bench", "KNN or HDC pipeline on a dataset")
+    p = sub.add_parser("bench", help="KNN or HDC pipeline on a dataset")
     p.add_argument("--pipeline", choices=["knn", "hdc"], required=True)
     p.add_argument("--dataset", choices=["synthetic", "mnist", "csv"], default="synthetic")
     p.add_argument("--data-root", help="directory with MNIST IDX files")
@@ -488,9 +468,6 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"dmcam: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except FileNotFoundError as exc:
-        print(f"dmcam: cannot read file: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"dmcam: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -46,6 +46,13 @@ def test_missing_file_is_io_error(tmp_path):
     assert run(["dm", "--custom", str(tmp_path / "absent.csv")]) == EXIT_IO
 
 
+def test_unwritable_output_is_io_error(tmp_path, capsys):
+    out = tmp_path / "absent" / "dm.csv"
+    assert run(["dm", "--metric", "hamming", "--bits", "2", "--out", str(out)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("dmcam: i/o error:") and str(out) in err
+
+
 def test_bad_flag_is_usage_error():
     assert run(["dm", "--metric", "nonsense"]) == EXIT_USAGE
 
@@ -63,7 +70,7 @@ def test_compile_then_verify_roundtrip(tmp_path, capsys):
     assert rep["min_k"] == 3
     assert rep["verify"]["passed"] is True
     assert [p["k"] for p in rep["probes"]] == [1, 2, 3]
-    assert rep["config"]["seed"] == 0
+    assert not {"seed", "threads"} & rep["config"].keys()
 
     assert run(["verify", "--metric", "hamming", "--bits", "2",
                 "--encoding", str(enc)]) == EXIT_OK
@@ -72,8 +79,9 @@ def test_compile_then_verify_roundtrip(tmp_path, capsys):
 
 
 # SHA-256 of the report below as written when compile verified the encoding
-# a second time itself.
-COMPILE_REPORT_SHA256 = "88302d9ada5173765ae0e10956377d6b94c77b0517e06d2f32a8642f204ef523"
+# a second time itself, re-dumped without the config keys seed and threads,
+# which compile no longer takes.
+COMPILE_REPORT_SHA256 = "5d73b0486f11f437dde578e2aeb82f4084e362ef1933afb4a00c65c45b08af15"
 
 
 def test_compile_verifies_once(tmp_path, monkeypatch):
@@ -91,7 +99,7 @@ def test_compile_verifies_once(tmp_path, monkeypatch):
     for module in (dmcam.compiler, dmcam.cli):
         monkeypatch.setattr(module, "verify_encoding", counted(module.verify_encoding))
     monkeypatch.chdir(tmp_path)
-    code = run(["compile", "--metric", "hamming", "--bits", "2", "--threads", "1",
+    code = run(["compile", "--metric", "hamming", "--bits", "2",
                 "--out", "enc.json", "--report", "report.json", "--table", "table.csv"])
     assert code == EXIT_OK
     assert len(calls) == 1
@@ -725,26 +733,14 @@ def test_checks_after_parsing_name_the_file(tmp_path, compiled_encoding_file, ca
     assert capsys.readouterr().err == f"dmcam: error: {bad}: {message}\n"
 
 
-def test_malformed_thread_env_is_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("DMCAM_THREADS", "two")
-    assert run(["dm", "--metric", "hamming", "--bits", "1"]) == EXIT_USAGE
-    assert capsys.readouterr().err.startswith("dmcam: error: DMCAM_THREADS")
-
-
-@pytest.mark.parametrize("env, flags", [
-    ("0", []), ("-3", []), ("1", ["--threads", "0"]), ("1", ["--threads", "-3"]),
-])
-def test_thread_count_below_one_is_usage_error(tmp_path, compiled_encoding_file, monkeypatch,
-                                                capsys, env, flags):
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_thread_count_below_one_is_usage_error(tmp_path, compiled_encoding_file, capsys, value):
     stored, queries = tmp_path / "s.csv", tmp_path / "q.csv"
     _write_symbol_csv(stored, [[0, 1], [3, 2]])
     _write_symbol_csv(queries, [[0, 1]])
-    monkeypatch.setenv("DMCAM_THREADS", env)
     assert run(["mc", "--encoding", str(compiled_encoding_file), "--stored", str(stored),
-                "--queries", str(queries), "--runs", "2", *flags]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert "must be at least 1" in err
-    assert ("--threads" if flags else "DMCAM_THREADS") in err
+                "--queries", str(queries), "--runs", "2", "--threads", value]) == EXIT_USAGE
+    assert f"argument --threads: must be at least 1, got {value}" in capsys.readouterr().err
 
 
 def test_config_thread_count_below_one_is_usage_error(tmp_path, capsys):
@@ -776,13 +772,40 @@ def _argv_of_each_command(tmp_path, encoding_file):
                                      "bench"])
 def test_negative_seed_is_usage_error(tmp_path, compiled_encoding_file, capsys, command):
     argv = _argv_of_each_command(tmp_path, compiled_encoding_file)[command]
-    assert run([*argv, "--seed", "-1"]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert "argument --seed: must be at least 0, got -1" in err
+    if command in ("simulate", "mc", "bench"):  # the subcommands that draw at random
+        assert run([*argv, "--seed", "-1"]) == EXIT_USAGE
+        assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
+    # a config file's seed is checked against --seed even where the subcommand has none
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": -1}))
     assert run(["--config", str(cfg), *argv]) == EXIT_USAGE
     assert "config key 'seed': invalid value -1 for --seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [
+    *[(c, "--seed") for c in ("dm", "compile", "verify", "oracle")],
+    *[(c, "--threads") for c in ("dm", "compile", "verify", "oracle", "simulate", "bench")],
+])
+def test_flag_the_subcommand_does_not_read_is_refused(tmp_path, compiled_encoding_file, capsys,
+                                                      command, flag):
+    argv = _argv_of_each_command(tmp_path, compiled_encoding_file)[command]
+    value = {"--seed": "1", "--threads": "2"}[flag]
+    assert run([*argv, flag, value]) == EXIT_USAGE
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+def test_thread_env_is_ignored(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("DMCAM_THREADS", "two")
+    assert run(["dm", "--metric", "hamming", "--bits", "1"]) == EXIT_OK
+    assert capsys.readouterr().out == "0,1\n1,0\n"
+    report = tmp_path / "report.json"  # a report records its own path, so both runs write this one
+    argv = ["compile", "--metric", "hamming", "--bits", "2", "--report", str(report)]
+    monkeypatch.setenv("DMCAM_THREADS", "2")
+    assert run(argv) == EXIT_OK
+    with_env = report.read_bytes()
+    monkeypatch.delenv("DMCAM_THREADS")
+    assert run(argv) == EXIT_OK
+    assert report.read_bytes() == with_env
 
 
 @pytest.mark.parametrize("flag", ["--sigma-vth", "--sigma-r"])
