@@ -159,7 +159,7 @@ def build_parser(defaults: dict | None = None) -> _Parser:
     p.add_argument("--predictions", help="per-query prediction CSV path")
 
     if defaults:
-        flags = [a for p in (parser, *sub.choices.values()) for a in p._actions if a.option_strings]
+        flags = _flag_actions(parser)
         unknown = sorted(defaults.keys() - {a.dest for a in flags})
         if unknown:
             raise SystemExit2(f"config key {unknown[0]!r} matches no flag")
@@ -167,6 +167,20 @@ def build_parser(defaults: dict | None = None) -> _Parser:
             if a.dest in defaults:  # a flag the file supplies is no longer required
                 a.default, a.required = _config_value(a, defaults[a.dest]), False
     return parser
+
+
+def _flag_actions(parser: argparse.ArgumentParser) -> list[argparse.Action]:
+    """Every flag of the parser and of its subcommands."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [a for p in (parser, *sub.choices.values()) for a in p._actions if a.option_strings]
+
+
+def _command_line_dests(argv: list[str]) -> set[str]:
+    """The dests of the flags that argv itself gives, not a config file or a default."""
+    parser = build_parser()
+    for a in _flag_actions(parser):
+        a.default, a.required = argparse.SUPPRESS, False
+    return set(vars(parser.parse_args(argv)))
 
 
 def _config_defaults(argv: list[str]) -> dict | None:
@@ -400,6 +414,18 @@ def _load_bench_dataset(args):
     return datasets.synthetic_digits(args.train_size, args.test_size, seed=args.seed)
 
 
+def _bench_unread(args) -> dict[str, str]:
+    """The bench flags this run does not read, each with the flag setting that leaves it unread."""
+    pipeline, dataset = f"--pipeline {args.pipeline}", f"--dataset {args.dataset}"
+    reads = {"kq": (args.pipeline == "knn", pipeline),
+             "dimension": (args.pipeline == "hdc", pipeline),
+             "epochs": (args.pipeline == "hdc", pipeline),
+             "data_root": (args.dataset == "mnist", dataset),
+             "train_csv": (args.dataset == "csv", dataset),
+             "test_csv": (args.dataset == "csv", dataset)}
+    return {dest: setting for dest, (read, setting) in reads.items() if not read}
+
+
 def cmd_bench(args) -> int:
     from . import apps
 
@@ -415,8 +441,9 @@ def cmd_bench(args) -> int:
         return EXIT_INFEASIBLE
     ladder = _ladder_from_args(args)
     variation = _variation_from_args(args)
+    unread = _bench_unread(args)
     summary = {
-        "config": _config_dict(args),
+        "config": {k: v for k, v in _config_dict(args).items() if k not in unread},
         "dataset": ds.name,
         "train_size": len(ds.train_x),
         "test_size": len(ds.test_x),
@@ -459,6 +486,12 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = build_parser(_config_defaults(argv)).parse_args(argv)
+        if args.command == "bench":  # a config file may hold keys one run does not read
+            unread = _bench_unread(args)
+            given = sorted(_command_line_dests(argv) & unread.keys())
+            if given:
+                flag = "--" + given[0].replace("_", "-")
+                raise SystemExit2(f"{flag} is not read with {unread[given[0]]}")
         return _COMMANDS[args.command](args)
     except SystemExit as exc:  # argparse exits (usage errors, --help)
         return int(exc.code) if exc.code is not None else 0

@@ -20,18 +20,21 @@ caller, `checked_symbols` checks symbols and narrows them once to the
 smallest unsigned dtype, and `entry_sums` senses queries QUERY_BLOCK at a
 time, which bounds its mask and gather buffers.
 
-A varied array is that array plus its (vth, res) draws; a zero-sigma
-redraw drops them, as a draw that raises does. The constructor is the
-nominal array plus one redraw from default_rng(variation.seed), so every
-draw takes one order: every threshold, block by block, then every
-resistance. While sigma_R is zero the res buffer is unused and the
-resistance stays a scalar. It draws and senses DEVICE_BLOCK devices'
-worth of rows at a time (a row wider than that is a block of its own),
-gathering nominal thresholds and evaluating the device model in
-block-sized buffers local to each call; a search takes its queries as
-many at a time as a block has rows and evaluates each block for all of
-them in turn. So two threads may search one varied array at once; a
-redraw must not overlap a search.
+A varied array is that array plus its device record: each device's gate
+rank (`device.gate_ranks`, uint8 up to 255 gate levels) and, while sigma_R
+is above zero, its float64 resistance, so a device costs 9 bytes, or 1 byte
+at sigma_R = 0, where the resistance stays a scalar. The buffers are kept
+across redraws; a zero-sigma redraw drops them, as a draw that raises
+does. The constructor is the nominal array plus one redraw from
+default_rng(variation.seed). `device.sample_variation` draws the record:
+every device at its nominal rank, then by thinning only the devices that
+leave it, then every resistance. A search compares each query's gate
+ranks with the record through `conduct`, DEVICE_BLOCK devices' worth of
+rows at a time (a row wider than that is a block of its own), in
+block-sized buffers local to each call; it takes its queries as many at a
+time as a block has rows and evaluates each block for all of them in
+turn. So two threads may search one varied array at once; a redraw must
+not overlap a search.
 
 Source-line clamping is modeled as ideal, so drain voltages depend on the
 query alone.
@@ -46,12 +49,18 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .device import DEFAULT_ISAT, VariationParams, conduct, sample_variation
+from .device import (
+    DEFAULT_ISAT,
+    DEVICE_BLOCK,
+    VariationParams,
+    conduct,
+    gate_ranks,
+    sample_variation,
+)
 from .encoder import DEFAULT_LADDER, VoltageEncoding, VoltageLadder
 
 
 QUERY_BLOCK = 64  # queries per block in entry_sums; bounds its mask and gather buffers
-DEVICE_BLOCK = 2**17  # devices per row block of a varied array; bounds its draw and sense buffers
 
 
 def checked_symbols(values, levels: int, error: str) -> np.ndarray:
@@ -187,9 +196,12 @@ class Crossbar:
         except OverflowError:  # an integer rank or multiple beyond float64's range
             raise ValueError("ladder saturates or overflows: a rank or drain multiple of the "
                              "encoding is too large for a float64 level") from None
-        # The (vth, res) draw buffers, each (rows, dims, k), None exactly while nominal.
-        # While varied, _res is the res buffer, or the scalar resistance when sigma_R is zero.
-        self._draws = self._res = None
+        # The sorted gate levels, and each query symbol's gate ranks against them.
+        self._gate_levels = np.unique(self._vgs_by_symbol)
+        self._gate_by_symbol = gate_ranks(self._vgs_by_symbol, self._gate_levels)
+        # The device record: _rank is (rows, dims, k), None exactly while nominal; _res is the
+        # (rows, dims, k) resistances while sigma_R > 0, else the scalar resistance or None.
+        self._rank = self._res = None
         if variation is not None:  # a seed draws the devices a redraw from its stream draws
             self.resample_variation(np.random.default_rng(variation.seed), variation)
 
@@ -243,41 +255,20 @@ class Crossbar:
         return [slice(start, min(start + step, self.rows)) for start in range(0, self.rows, step)]
 
     def resample_variation(self, rng: np.random.Generator, params: VariationParams) -> None:
-        """Redraw every device perturbation from the given stream, in place.
+        """Redraw every device's record from the given stream, in place.
 
-        Every threshold is drawn, a row block at a time, before any
-        resistance; nominal thresholds are gathered into a block-sized
-        buffer. A zero sigma draws nothing: the vth buffer then holds the
-        nominal thresholds, and the resistance stays a scalar. Both sigmas
-        at zero drop the draws, as a draw that raises does: either leaves
-        the array nominal.
+        The rank buffer, and the resistance buffer while sigma_R stays above
+        zero, are reused from the last redraw. Both sigmas at zero drop the
+        record, as a draw that raises does: either leaves the array nominal.
         """
+        rank, res = self._rank, self._res
+        self._rank = self._res = None  # nominal until the draw below completes
         if params.sigma_vth == 0 and params.sigma_r_rel == 0:
-            self._draws = self._res = None
             return
-        if self._draws is None:
-            shape = (self.rows, self.dims, self.k)
-            self._draws = np.empty(shape), np.empty(shape)
-        vth, res = self._draws
-        # The symbols are checked, so mode="clip" clips nothing; it lets take fill out unbuffered.
-        if params.sigma_vth == 0:
-            np.take(self._vth_by_symbol, self._stored, axis=0, out=vth, mode="clip")
-        blocks = self._row_blocks()
-        nominal = np.empty((blocks[0].stop, self.dims, self.k))
-        try:
-            for sigmas in (VariationParams(params.sigma_vth, 0.0),
-                           VariationParams(0.0, params.sigma_r_rel)):
-                for block in blocks:
-                    base = vth[block]
-                    if sigmas.sigma_vth > 0:
-                        base = np.take(self._vth_by_symbol, self._stored[block], axis=0,
-                                       out=nominal[:len(base)], mode="clip")
-                    sample_variation(base, self.ladder.resistance, sigmas, rng,
-                                     out=(vth[block], res[block]))
-        except BaseException:
-            self._draws = self._res = None  # a half-drawn array goes back to nominal
-            raise
-        self._res = res if params.sigma_r_rel > 0 else self.ladder.resistance
+        self._rank, self._res = sample_variation(
+            self._stored, self._vth_by_symbol, self._gate_levels, self.ladder.resistance, params,
+            rng, out=(rank, res if isinstance(res, np.ndarray) else None),
+        )
 
     # -- search ------------------------------------------------------------
 
@@ -286,16 +277,16 @@ class Crossbar:
 
         A nominal array sums its unit table exactly and scales once by the
         unit current; a varied array evaluates every device per query, one
-        row block at a time.
+        row block at a time, comparing the query's gate ranks with the
+        devices' drawn ones.
         """
         q = checked_symbols(query, self.encoding.m, "query symbols must lie in [0, m)")
         if q.ndim not in (1, 2) or q.shape[-1] != self.dims:
             raise ValueError(f"query must have {self.dims} symbols")
         batch = q.reshape(-1, self.dims)
-        if self._draws is None:
+        if self._rank is None:
             currents = entry_sums(self._units, self._stored, batch) * self.unit_current
         else:
-            vth = self._draws[0]
             currents = np.empty((len(batch), self.rows))
             blocks = self._row_blocks()
             step = blocks[0].stop  # rows per block, and queries per chunk
@@ -304,13 +295,13 @@ class Crossbar:
             # Each block's draws are read once per chunk of queries, not once per query.
             for start in range(0, len(batch), step):
                 chunk = batch[start:start + step]
-                vgs, vds = self._vgs_by_symbol[chunk], self._vds_by_symbol[chunk]
+                gate, vds = self._gate_by_symbol[chunk], self._vds_by_symbol[chunk]
                 for block in blocks:
                     size = block.stop - block.start
-                    vth_block, out = vth[block], (current[:size], on[:size])
+                    rank, out = self._rank[block], (current[:size], on[:size])
                     res = self._res if np.isscalar(self._res) else self._res[block]
                     for i in range(len(chunk)):
-                        cells = conduct(vgs[i], vds[i], vth_block, res, out=out)
+                        cells = conduct(gate[i], vds[i], rank, res, out=out)
                         currents[start + i, block] = cells.sum(axis=(1, 2))
         return currents if q.ndim == 2 else currents[0]
 

@@ -441,15 +441,20 @@ def test_bench_hdc_predictions_reproduce_summary(tmp_path):
     assert summary["agreement"] < 1.0
 
 
+def _pipeline_flags(pipeline: str, dimension: str) -> list[str]:
+    """--pipeline, and --dimension for hdc only: knn refuses a flag it does not read."""
+    return ["--pipeline", pipeline, *(["--dimension", dimension] if pipeline == "hdc" else [])]
+
+
 @pytest.mark.parametrize("pipeline", ["knn", "hdc"])
 def test_bench_rejects_non_finite_training_data(tmp_path, capsys, pipeline):
     train = tmp_path / "train.csv"
     test = tmp_path / "test.csv"
     train.write_text("0.0,1.0,0\nnan,0.5,1\n1.0,0.0,1\n0.5,0.5,0\n")
     test.write_text("0.1,0.9,0\n0.9,0.1,1\n")
-    code = run(["bench", "--pipeline", pipeline, "--dataset", "csv",
+    code = run(["bench", *_pipeline_flags(pipeline, "16"), "--dataset", "csv",
                 "--train-csv", str(train), "--test-csv", str(test),
-                "--metric", "hamming", "--bits", "2", "--dimension", "16"])
+                "--metric", "hamming", "--bits", "2"])
     assert code == EXIT_ERROR
     assert "finite" in capsys.readouterr().err
 
@@ -460,9 +465,9 @@ def test_bench_rejects_non_finite_test_data(tmp_path, capsys, pipeline):
     test = tmp_path / "test.csv"
     train.write_text("0.0,1.0,0\n0.2,0.5,1\n1.0,0.0,1\n0.5,0.5,0\n")
     test.write_text("0.1,0.9,0\nnan,0.1,1\n")
-    code = run(["bench", "--pipeline", pipeline, "--dataset", "csv",
+    code = run(["bench", *_pipeline_flags(pipeline, "16"), "--dataset", "csv",
                 "--train-csv", str(train), "--test-csv", str(test),
-                "--metric", "hamming", "--bits", "2", "--dimension", "16"])
+                "--metric", "hamming", "--bits", "2"])
     assert code == EXIT_ERROR
     assert "test features must be finite" in capsys.readouterr().err
 
@@ -535,11 +540,40 @@ def test_count_flag_out_of_range_is_refused_before_reading(tmp_path, capsys, com
     ("hdc", "corrections", "degradation_pp"),
 ])
 def test_bench_summary_keys_per_pipeline(capsys, pipeline, present, absent):
-    assert run(["bench", "--pipeline", pipeline, "--train-size", "40", "--test-size", "8",
-                "--metric", "hamming", "--dimension", "64"]) == EXIT_OK
+    assert run(["bench", *_pipeline_flags(pipeline, "64"), "--train-size", "40",
+                "--test-size", "8", "--metric", "hamming"]) == EXIT_OK
     summary = json.loads(capsys.readouterr().out)
     assert {"accuracy_hw", "accuracy_sw", "agreement", present} <= summary.keys()
     assert absent not in summary
+
+
+@pytest.mark.parametrize("pipeline, dataset, given, error", [
+    ("hdc", "synthetic", ["--kq", "5"], "--kq is not read with --pipeline hdc"),
+    ("knn", "synthetic", ["--dimension", "7"], "--dimension is not read with --pipeline knn"),
+    ("knn", "synthetic", ["--epochs", "3"], "--epochs is not read with --pipeline knn"),
+    ("knn", "csv", ["--data-root", "idx"], "--data-root is not read with --dataset csv"),
+    ("hdc", "synthetic", ["--train-csv", "t.csv"], "--train-csv is not read with --dataset synthetic"),
+    ("knn", "mnist", ["--test-csv", "t.csv"], "--test-csv is not read with --dataset mnist"),
+    ("knn", "synthetic", ["--dim", "7"], "--dimension is not read with --pipeline knn"),
+])
+def test_bench_refuses_a_flag_its_run_does_not_read(capsys, pipeline, dataset, given, error):
+    assert run(["bench", "--pipeline", pipeline, "--dataset", dataset, "--metric", "hamming",
+                *given]) == EXIT_USAGE
+    assert f"dmcam: error: {error}\n" == capsys.readouterr().err
+
+
+def test_bench_summary_leaves_out_config_keys_its_run_does_not_read(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kq": 5, "dimension": 64, "epochs": 1, "data_root": "idx",
+                               "train_csv": "train.csv", "test_csv": "test.csv"}))
+    argv = ["--config", str(cfg), "bench", "--train-size", "40", "--test-size", "8",
+            "--metric", "hamming"]
+    for pipeline, read, unread in (("knn", {"kq"}, {"dimension", "epochs"}),
+                                   ("hdc", {"dimension", "epochs"}, {"kq"})):
+        assert run([*argv, "--pipeline", pipeline]) == EXIT_OK
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert read <= config.keys()
+        assert not (unread | {"data_root", "train_csv", "test_csv"}) & config.keys()
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):
@@ -815,11 +849,14 @@ def test_overflowing_sigma_is_an_error(tmp_path, compiled_encoding_file, capsys,
     # 50 rows of 2 symbols hold 300 devices: some |N(0, 1)| draw is far
     # beyond the 1.8 at which 1e308 overflows.
     _write_symbol_csv(tmp_path / "s.csv", [[r % 4, r // 4 % 4] for r in range(50)])
+    if flag == "--sigma-vth":  # a threshold is drawn as a gate rank, which cannot overflow
+        assert run([*argv, flag, "1e308"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        return
     assert run([*argv, flag, "1e308"]) == EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
-    name = {"--sigma-vth": "sigma_vth", "--sigma-r": "sigma_r_rel"}[flag]
-    assert captured.err == f"dmcam: error: {name} = 1e+308 overflows float64 in the drawn devices\n"
+    assert captured.err == "dmcam: error: sigma_r_rel = 1e+308 overflows float64 in the drawn devices\n"
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -963,9 +1000,8 @@ HAMMING_GRID = "0,1,1,2\n1,0,2,1\n1,2,0,1\n2,1,1,0\n"
 def test_bench_custom_grid_matches_builtin_metric(tmp_path, pipeline):
     grid = tmp_path / "hamming.csv"
     grid.write_text(HAMMING_GRID)
-    common = ["bench", "--pipeline", pipeline, "--dataset", "synthetic",
-              "--train-size", "40", "--test-size", "12", "--dimension", "64",
-              "--k-max", "4"]
+    common = ["bench", *_pipeline_flags(pipeline, "64"), "--dataset", "synthetic",
+              "--train-size", "40", "--test-size", "12", "--k-max", "4"]
     builtin, custom = tmp_path / "builtin.csv", tmp_path / "custom.csv"
     assert run([*common, "--metric", "hamming", "--predictions", str(builtin)]) == EXIT_OK
     assert run([*common, "--custom", str(grid), "--predictions", str(custom)]) == EXIT_OK
@@ -1046,9 +1082,9 @@ def test_bench_rejects_a_csv_with_only_labels(tmp_path, capsys, pipeline):
     # hdc exited 0 on all-zero projections; knn exited 1 naming no file
     labels = tmp_path / "labels.csv"
     labels.write_text("1\n0\n1\n")
-    code = run(["bench", "--pipeline", pipeline, "--dataset", "csv",
+    code = run(["bench", *_pipeline_flags(pipeline, "16"), "--dataset", "csv",
                 "--train-csv", str(labels), "--test-csv", str(labels),
-                "--metric", "hamming", "--bits", "2", "--dimension", "16"])
+                "--metric", "hamming", "--bits", "2"])
     assert code == EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""

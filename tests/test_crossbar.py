@@ -9,8 +9,8 @@ import pytest
 
 from dmcam import crossbar
 from dmcam.crossbar import Crossbar, monte_carlo
-from dmcam.device import VariationParams, conduct, sample_variation
-from dmcam.encoder import VoltageLadder
+from dmcam.device import VariationParams, conduct
+from dmcam.encoder import VoltageEncoding, VoltageLadder
 
 
 PAPER_SIGMAS = VariationParams(sigma_vth=0.054, sigma_r_rel=0.08, seed=3)
@@ -134,9 +134,9 @@ def test_non_integer_symbols_rejected(hamming_compiled, bad):
 
 
 def test_row_currents_match_scalar_device_model(hamming_compiled):
-    # Draws the whole array's devices in one sample_variation call, the
-    # sampler's own order (the array draws per block and per sigma pass), and
-    # sums scalar branch currents in Python order.
+    # Reads the array's own drawn record, each device's gate rank and
+    # resistance, and sums scalar branch currents in Python order, with each
+    # query gate's rank counted among the encoding's distinct gate levels.
     rng = np.random.default_rng(21)
     stored = rng.integers(0, 4, (3, 5))
     cb = Crossbar(hamming_compiled.encoding, stored, variation=PAPER_SIGMAS)
@@ -144,45 +144,46 @@ def test_row_currents_match_scalar_device_model(hamming_compiled):
     enc = hamming_compiled.encoding
     ladder = cb.ladder
     currents = np.asarray(cb.search(query).row_currents)
-    nominal = np.array([[[ladder.vth_volts(r) for r in enc.vth_ranks[t]] for t in row]
-                        for row in stored])
-    vth, res = sample_variation(nominal, ladder.resistance, PAPER_SIGMAS,
-                                np.random.default_rng(PAPER_SIGMAS.seed))
+    rank, res = cb._rank, cb._res
+    levels = {ladder.vgs_volts(r) for entry in enc.vgs_ranks for r in entry}
     for row in range(3):
         total = 0.0
         for dim in range(5):
             sym = int(query[dim])
             for br in range(enc.k):
                 vgs = ladder.vgs_volts(enc.vgs_ranks[sym][br])
+                gate = sum(level <= vgs for level in levels)
                 vds = ladder.vds_volts(enc.vds_multiples[sym][br])
-                total += float(conduct(vgs, vds, vth[row, dim, br], res[row, dim, br]))
+                total += float(conduct(gate, vds, rank[row, dim, br], res[row, dim, br]))
         assert currents[row] == pytest.approx(total, rel=1e-12)
 
 
 def test_seeded_variation_row_currents_golden(golden_encoding):
     # The currents of the same array built nominal and redrawn with
     # resample_variation(default_rng(3), VariationParams(0.054, 0.08)), recorded
-    # while the constructor still drew row by row.
+    # when devices were first drawn as gate ranks.
     stored = [[0, 1, 2, 3], [3, 2, 1, 0], [1, 1, 2, 2]]
     cb = Crossbar(golden_encoding, stored, variation=VariationParams(0.054, 0.08, seed=3))
     result = cb.search([0, 1, 3, 2])
     assert result.row_currents.tolist() == [
-        2.360910123120747e-07, 7.262283054345606e-07, 2.3143275005942717e-07,
+        2.4341659632945096e-07, 7.256644059037904e-07, 2.2528658036670858e-07,
     ]
     assert result.winner == 2
 
 
 def test_seeded_row_currents_golden_with_one_sigma_zero(golden_encoding):
-    # Recorded before the array kept its draws in buffers: a zero sigma keeps
-    # the nominal thresholds, or the scalar resistance, and draws nothing.
+    # A zero sigma keeps the nominal gate ranks, or the scalar resistance, and
+    # draws nothing. The sigma_R half was recorded before the array kept its
+    # draws in buffers, the sigma_vth half when devices were first drawn as
+    # gate ranks.
     stored = [[0, 1, 2, 3], [3, 2, 1, 0], [1, 1, 2, 2]]
     query = [0, 1, 3, 2]
     vth_only = Crossbar(golden_encoding, stored, variation=VariationParams(0.2, 0.0, seed=3))
     found = vth_only.search(query)
     assert found.row_currents.tolist() == [
-        3.5762786865234375e-07, 7.152557373046875e-07, 2.384185791015625e-07,
+        3.5762786865234375e-07, 7.152557373046875e-07, 3.5762786865234375e-07,
     ]
-    assert found.winner == 2
+    assert found.winner == 0
     res_only = Crossbar(golden_encoding, stored, variation=VariationParams(0.0, 0.08, seed=3))
     found = res_only.search(query)
     assert found.row_currents.tolist() == [
@@ -222,6 +223,40 @@ def test_resampling_reuses_no_stale_draw(hamming_compiled):
         assert np.array_equal(cb.row_currents(queries), fresh)
 
 
+@pytest.mark.parametrize("sigma", [0.054, 0.2, 1.0])
+def test_drawn_ranks_follow_the_threshold_law(hamming_compiled, sigma):
+    # Per (stored symbol, branch), the gate ranks of eight redraws against
+    # Gaussian thresholds placed among the gate levels by np.searchsorted:
+    # every rank's share within 5 binomial standard errors of the reference.
+    enc, redraws = hamming_compiled.encoding, 8
+    stored = np.random.default_rng(30).integers(0, enc.n, (250, 784))
+    cb = Crossbar(enc, stored)
+    ladder = cb.ladder
+    levels = np.unique([ladder.vgs_volts(r) for entry in enc.vgs_ranks for r in entry])
+    drawn = np.zeros((enc.n, enc.k, len(levels) + 1))
+    rng = np.random.default_rng(31)
+    for _ in range(redraws):
+        cb.resample_variation(rng, VariationParams(sigma, 0.0))
+        for t in range(enc.n):
+            ranks = cb._rank[stored == t]  # (devices of symbol t, k)
+            for i in range(enc.k):
+                drawn[t, i] += np.bincount(ranks[:, i], minlength=len(levels) + 1)
+    reference_rng = np.random.default_rng(32)
+    moved = 0
+    for t in range(enc.n):
+        for i in range(enc.k):
+            nominal = ladder.vth_volts(enc.vth_ranks[t][i])
+            devices = int(drawn[t, i].sum())
+            vth = reference_rng.normal(nominal, sigma, devices)
+            reference = np.bincount(np.searchsorted(levels, vth, side="right"),
+                                    minlength=len(levels) + 1)
+            pooled = (drawn[t, i] + reference) / (2 * devices)
+            error = np.sqrt(pooled * (1 - pooled) * 2 / devices)
+            assert np.all(np.abs(drawn[t, i] - reference) / devices <= 5 * error), (t, i)
+            moved += devices - drawn[t, i, np.searchsorted(levels, nominal, side="right")]
+    assert moved > 0
+
+
 def test_variation_determinism(hamming_compiled):
     stored = [[0, 1, 2], [3, 2, 1]]
     a = Crossbar(hamming_compiled.encoding, stored, variation=PAPER_SIGMAS)
@@ -244,29 +279,27 @@ def test_variation_determinism(hamming_compiled):
 
 
 # Each shape spans several blocks, a single block, or rows wider than one
-# block. The digests were recorded with every constructor draw replaced by a
-# nominal array redrawn from default_rng(seed), while the constructor still
-# drew row by row.
+# block. The digests were recorded when devices were first drawn as gate ranks.
 VARIED_SHAPES = [(100, 784), (10, 10000), (37, 50), (2, 50000)]
 VARIED_SIGMAS = [VariationParams(0.054, 0.08), VariationParams(0.054, 0.0),
                  VariationParams(0.0, 0.08)]
 VARIED_GOLDEN = {
     ('hamming', 100, 784):
-        "75d79d90b473b58884e016daaffcf40dfaa1ce5baee04a58f365dc3b51802c71",
+        "fe3432d713af17feeca22491b9f93454b10b2fb24055cc75d750d3e5fa6f8880",
     ('hamming', 10, 10000):
-        "c6dc1e359af760336b8e5029ccdc2184da9d500b8340346a05d75adf73288351",
+        "5cf246d8b2b4e01a7681d26f6dac895657108e1b06888f1c0581abb132959fe4",
     ('hamming', 37, 50):
-        "3c68748cdb7536b6447bc5e6e61a03506dcc0d15b8fd9561b32b2250bd2cd26b",
+        "cff6aa468e81137690e4141b17d0555ecb7b0170c9c93ea1f137553f153c94ca",
     ('hamming', 2, 50000):
-        "16d46e065bc1a08539ad6344ab36f8b449215268eb2d03484cb938eeaa21dca5",
+        "2361d3b0fa186f980fd93eacdad33a6e6c6a89e121e8f5194f7919f97c10690c",
     ('sq_euclidean', 100, 784):
-        "34b22e4134d09406f1800393035f83b82be89b7f8a314f0dd34b4506f0c95597",
+        "595d8c771f15401303e416835a9b6e492fd270e120ce59904d79aa9627b1c73b",
     ('sq_euclidean', 10, 10000):
-        "9092c70da603926af650e22ab3e11d5bfa57d274ac185fba18b0451ac87f3a37",
+        "249e384a15bfc093e5969f7cddafc8fefc052c4a93ee4c37ae450e545e9cd06f",
     ('sq_euclidean', 37, 50):
-        "152f0fdafe799c8b5d67f2221984bc8438fb91da95c07b7faf8f30857896f014",
+        "7c652380521609fa95c6f2b13e5c1243a0ec85f0df92b9ba5d7a119f243be19a",
     ('sq_euclidean', 2, 50000):
-        "721c6c509fae824dd8fe3151dcdd13b00dc251f0a121fc73bf5619b21dead820",
+        "7dd052e526a5f24d819007f6654792e92779117d668d925252cdb7586f706fce",
 }
 
 
@@ -346,10 +379,12 @@ cb.search(rng.integers(0, 4, (20, 784)))
 
 
 def test_varied_array_keeps_only_its_draws(peak_rss_mb):
-    # The (vth, res) draws are 2 x 19 MB; whole-array nominal thresholds or
-    # sensing buffers would add about 19 MB each (the current) and 2 MB (the mask).
+    # The record is 2.4 MB of gate ranks and 19 MB of resistances. The peak
+    # measured 64 MB (Python 3.11, numpy 2.4); the bound leaves 8 MB of
+    # margin, less than one more float64 per device would add (a whole-array
+    # threshold or current buffer, 19 MB each).
     peak_mb = peak_rss_mb(_VARIED_KNN_SHAPE)
-    assert peak_mb < 95, f"peak RSS {peak_mb:.0f} MB"
+    assert peak_mb < 72, f"peak RSS {peak_mb:.0f} MB"
 
 
 # -- Monte Carlo ---------------------------------------------------------------
@@ -418,20 +453,20 @@ def test_monte_carlo_winners_golden(golden_encoding):
     result = monte_carlo(golden_encoding, stored, queries, [0, 1, 3],
                          VariationParams(0.12, 0.08, seed=42), runs=8)
     assert result.winners == (
-        (3, 1, 3), (0, 1, 3), (3, 1, 3), (0, 0, 3),
-        (3, 1, 3), (0, 0, 3), (0, 1, 3), (3, 1, 3),
+        (3, 1, 3), (3, 1, 3), (3, 1, 3), (3, 1, 3),
+        (0, 1, 3), (3, 1, 3), (0, 0, 3), (3, 1, 3),
     )
-    assert result.accuracy == 0.75
+    assert result.accuracy == 17 / 24
 
 
 def test_monte_carlo_chunking_golden(golden_encoding):
-    # Recorded before runs were split into per-worker chunks: uneven chunks
-    # and more workers than runs reproduce one worker's winners.
+    # Uneven chunks and more workers than runs reproduce one worker's
+    # winners, those of test_monte_carlo_winners_golden.
     stored = [[1, 1, 1, 1, 0], [1, 1, 1, 1, 1], [3, 3, 3, 0, 0], [0, 1, 2, 3, 0]]
     queries = [[0, 0, 0, 0, 0], [1, 1, 1, 1, 1], [0, 1, 2, 3, 3]]
     params = VariationParams(0.12, 0.08, seed=42)
     golden = (
-        (3, 1, 3), (0, 1, 3), (3, 1, 3), (0, 0, 3), (3, 1, 3), (0, 0, 3), (0, 1, 3),
+        (3, 1, 3), (3, 1, 3), (3, 1, 3), (3, 1, 3), (0, 1, 3), (3, 1, 3), (0, 0, 3),
     )
     for runs, workers in ((7, 1), (7, 3), (3, 1), (3, 5)):
         result = monte_carlo(golden_encoding, stored, queries, [0, 1, 3], params,
@@ -481,34 +516,60 @@ def test_every_array_rejects_a_ladder_that_misses_its_encoding(hamming_compiled,
 
 def test_raising_redraw_leaves_the_array_nominal(hamming_compiled):
     # The redraw used to stop partway and keep a mix of new and old draws:
-    # 342 infinite thresholds here, and currents that matched no array.
+    # 342 infinite thresholds here, and currents that matched no array. Here
+    # every rank is drawn before the resistances overflow.
     rng = np.random.default_rng(16)
     stored = rng.integers(0, 4, (200, 8))
     queries = rng.integers(0, 4, (5, 8))
     enc = hamming_compiled.encoding
     cb = Crossbar(enc, stored, variation=VariationParams(0.05, 0.05))
-    with pytest.raises(ValueError, match="sigma_vth"):
-        cb.resample_variation(np.random.default_rng(1), VariationParams(1e308, 0.0))
+    with pytest.raises(ValueError, match="sigma_r_rel"):
+        cb.resample_variation(np.random.default_rng(1), VariationParams(0.2, 1e308))
     assert np.array_equal(cb.row_currents(queries), Crossbar(enc, stored).row_currents(queries))
     cb.resample_variation(np.random.default_rng(2), PAPER_SIGMAS)
     assert np.array_equal(cb.row_currents(queries),
                           _resampled(enc, stored, 2).row_currents(queries))
 
 
-def test_zero_sigma_redraw_frees_the_draws(hamming_compiled):
-    rng = np.random.default_rng(17)
-    stored = rng.integers(0, 4, (200, 784))
-    enc = hamming_compiled.encoding
-    draw_bytes = 2 * stored.size * enc.k * 8  # one float64 vth and one res per device
+def _record_bytes_freed(encoding, stored, params) -> int:
+    """Bytes that a zero-sigma redraw frees from an array drawn at params."""
     tracemalloc.start()
     try:
-        cb = Crossbar(enc, stored, variation=PAPER_SIGMAS)
+        cb = Crossbar(encoding, stored, variation=params)
         held = tracemalloc.get_traced_memory()[0]
         cb.resample_variation(np.random.default_rng(0), VariationParams(0.0, 0.0))
-        freed = held - tracemalloc.get_traced_memory()[0]
+        return held - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert freed >= draw_bytes
+
+
+def test_zero_sigma_redraw_frees_the_draws(hamming_compiled):
+    # One uint8 gate rank and one float64 resistance per device: 9 bytes.
+    stored = np.random.default_rng(17).integers(0, 4, (200, 784))
+    devices = stored.size * hamming_compiled.encoding.k
+    freed = _record_bytes_freed(hamming_compiled.encoding, stored, PAPER_SIGMAS)
+    assert 9 * devices <= freed < 10 * devices
+
+
+def test_record_at_zero_sigma_r_is_one_byte_per_device(hamming_compiled):
+    # At sigma_R = 0 the resistance stays a scalar: only the gate ranks are held.
+    stored = np.random.default_rng(17).integers(0, 4, (200, 784))
+    devices = stored.size * hamming_compiled.encoding.k
+    freed = _record_bytes_freed(hamming_compiled.encoding, stored, VariationParams(0.054, 0.0))
+    assert devices <= freed < 2 * devices
+
+
+def test_ranks_of_more_than_255_gate_levels_do_not_wrap():
+    # 300 gate levels: ranks run to 300, so the record is uint16. A wrapped
+    # rank would turn a branch of rank 256 or more on or off wrongly.
+    count = 300
+    enc = VoltageEncoding(1, [[t] for t in range(count)], [[s] for s in range(count)],
+                          [[1]] * count)
+    stored = np.arange(count)[:, None]
+    queries = np.array([[0], [255], [256], [count - 1]])
+    cb = Crossbar(enc, stored, variation=VariationParams(1e-3, 0.0, seed=1))
+    assert cb._rank.dtype == np.uint16 and int(cb._rank.max()) == count
+    assert np.array_equal(cb.row_currents(queries), Crossbar(enc, stored).row_currents(queries))
 
 
 def test_batch_returns_one_answer_per_query(hamming_compiled, hamming_dm):
