@@ -421,6 +421,8 @@ def _bench_unread(args) -> dict[str, str]:
              "dimension": (args.pipeline == "hdc", pipeline),
              "epochs": (args.pipeline == "hdc", pipeline),
              "data_root": (args.dataset == "mnist", dataset),
+             "train_size": (args.dataset != "csv", dataset),  # a CSV split is read whole
+             "test_size": (args.dataset != "csv", dataset),
              "train_csv": (args.dataset == "csv", dataset),
              "test_csv": (args.dataset == "csv", dataset)}
     return {dest: setting for dest, (read, setting) in reads.items() if not read}

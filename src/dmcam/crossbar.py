@@ -18,7 +18,8 @@ n symbols on the mask side, the mask on the left of each GEMM (on knn's
 about 0.35 ms against 0.65 ms the other way round, 2 cores). For every
 caller, `checked_symbols` checks symbols and narrows them once to the
 smallest unsigned dtype, and `entry_sums` senses queries QUERY_BLOCK at a
-time, which bounds its mask and gather buffers.
+time, which bounds its mask and gather buffers; a stored array on the
+gathered side is gathered once per call.
 
 A varied array is that array plus its device record: each device's gate
 rank (`device.gate_ranks`, uint8 up to 255 gate levels) and, while sigma_R
@@ -35,6 +36,21 @@ block-sized buffers local to each call; it takes its queries as many at a
 time as a block has rows and evaluates each block for all of them in
 turn. So two threads may search one varied array at once; a redraw must
 not overlap a search.
+
+`knn` on a varied array ranks rather than sensing every row exactly. A
+float32 pass bounds each row's current in unit multiples, a row block at a
+time in buffers local to the call: g = fl32(R0 / R) once per block, then
+per query one GEMV of (gate > rank) * g against the query's drain
+multiples. Its n = dims x k terms are all >= 0, so the exact current lies
+within delta = 2 (n + 2) 2**-24 of the sum, relatively (Higham 2002,
+section 3.1); at sigma_R = 0 the sum is an exact integer and only rows tied
+in distance stay together. A row whose lower bound is at or below the
+kq-th smallest upper bound is a candidate, and only the candidates are
+summed again exactly, as row_currents sums them, so knn returns what
+smallest_k over row_currents returns. Where the bound does not hold (the
+saturation clamp is reachable, max vds / min R >= DEFAULT_ISAT; n x 2**-24
+> 0.1; a drain multiple above 2**24), knn senses every row exactly.
+`monte_carlo` takes its winners from knn.
 
 Source-line clamping is modeled as ideal, so drain voltages depend on the
 query alone.
@@ -78,27 +94,33 @@ def checked_symbols(values, levels: int, error: str) -> np.ndarray:
     return symbols.astype(np.min_scalar_type(levels - 1), copy=False)
 
 
-def _masked_sums(table: np.ndarray, masked: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """sums[a, b] = sum over d of table[masked[a, d], other[b, d]], in float32 or float64.
+def _gathered(table: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """The folded table gathered at other's symbols: (symbols, len(other), dims), float32 or float64.
 
-    Row 0 of the table is folded into one base-row sum, every other row is
-    stored as its difference from row 0, and each masked symbol s >= 1 adds
-    (masked == s) @ gathered[s].T, the 0/1 mask on the left. Every running
-    total is then a sum of table entries and every GEMM partial sum one of
-    differences, so an integral table whose bound dims x max(|T|, |T - T[0]|)
-    is at most 2**24 keeps them all integers that float32 holds exactly;
-    any other table runs in float64.
+    Row 0 of the table stays as it is and every other row becomes its
+    difference from row 0. _masked_sums then keeps every running total a
+    sum of table entries and every GEMM partial sum one of differences, so
+    an integral table whose bound dims x max(|T|, |T - T[0]|) is at most
+    2**24 keeps them all integers that float32 holds exactly; any other
+    table is gathered in float64.
     """
     folded = table - table[0]
-    bound = masked.shape[1] * max(np.abs(table).max(initial=0.0), np.abs(folded).max(initial=0.0))
+    bound = other.shape[1] * max(np.abs(table).max(initial=0.0), np.abs(folded).max(initial=0.0))
     exact32 = bound <= 2**24 and np.array_equal(table, np.rint(table))
-    dtype = np.float32 if exact32 else np.float64
     folded[0] = table[0]
-    gathered = np.take(folded.astype(dtype), other, axis=1)  # (symbols, len(other), dims)
-    sums = np.empty((len(masked), len(other)), dtype=dtype)
+    return np.take(folded.astype(np.float32 if exact32 else np.float64), other, axis=1)
+
+
+def _masked_sums(gathered: np.ndarray, masked: np.ndarray) -> np.ndarray:
+    """sums[a, b] = sum over d of table[masked[a, d], other[b, d]], from other's _gathered table.
+
+    Row 0 is folded into one base-row sum, and each masked symbol s >= 1
+    adds (masked == s) @ gathered[s].T, the 0/1 mask on the left.
+    """
+    sums = np.empty((len(masked), gathered.shape[1]), dtype=gathered.dtype)
     sums[:] = gathered[0].sum(axis=1)
-    mask = np.empty(masked.shape, dtype=dtype)
-    for s in range(1, len(table)):
+    mask = np.empty(masked.shape, dtype=gathered.dtype)
+    for s in range(1, len(gathered)):
         np.equal(masked, s, out=mask)
         sums += mask @ gathered[s].T
     return sums
@@ -110,19 +132,23 @@ def entry_sums(table, stored: np.ndarray, queries: np.ndarray) -> np.ndarray:
     The queries are summed QUERY_BLOCK at a time into one (Q, rows) result.
     In each block the operand with more cells gets the 0/1 masks: the
     stored array when it is the larger (its (rows, block) product is
-    transposed), the query block otherwise. Stored symbols must lie in
-    [0, n) and query symbols in [0, m). Either way equal distances compare
-    equal and ties go to the lowest index.
+    transposed), the query block otherwise. The stored array is gathered
+    once per call, however many blocks mask the queries. Stored symbols
+    must lie in [0, n) and query symbols in [0, m). Either way equal
+    distances compare equal and ties go to the lowest index.
     """
     table = np.asarray(table, dtype=np.float64)
     sums = np.empty((len(queries), len(stored)))
+    gathered_stored = None
     for start in range(0, len(queries), QUERY_BLOCK):
         span = slice(start, start + QUERY_BLOCK)
         block = queries[span]
         if stored.size >= block.size:
-            sums[span] = _masked_sums(table.T, stored, block).T
+            sums[span] = _masked_sums(_gathered(table.T, block), stored).T
         else:
-            sums[span] = _masked_sums(table, block, stored)
+            if gathered_stored is None:
+                gathered_stored = _gathered(table, stored)
+            sums[span] = _masked_sums(gathered_stored, block)
     return sums
 
 
@@ -192,6 +218,7 @@ class Crossbar:
             self._vds_by_symbol = np.array(
                 [[ladder.vds_volts(v) for v in entry] for entry in encoding.vds_multiples]
             )
+            self._multiples = np.array(encoding.vds_multiples, dtype=np.float64)
             self._units = self._unit_table()  # (m, n) nominal cell currents in unit multiples
         except OverflowError:  # an integer rank or multiple beyond float64's range
             raise ValueError("ladder saturates or overflows: a rank or drain multiple of the "
@@ -280,9 +307,7 @@ class Crossbar:
         row block at a time, comparing the query's gate ranks with the
         devices' drawn ones.
         """
-        q = checked_symbols(query, self.encoding.m, "query symbols must lie in [0, m)")
-        if q.ndim not in (1, 2) or q.shape[-1] != self.dims:
-            raise ValueError(f"query must have {self.dims} symbols")
+        q = self._queries(query)
         batch = q.reshape(-1, self.dims)
         if self._rank is None:
             currents = entry_sums(self._units, self._stored, batch) * self.unit_current
@@ -301,8 +326,7 @@ class Crossbar:
                     rank, out = self._rank[block], (current[:size], on[:size])
                     res = self._res if np.isscalar(self._res) else self._res[block]
                     for i in range(len(chunk)):
-                        cells = conduct(gate[i], vds[i], rank, res, out=out)
-                        currents[start + i, block] = cells.sum(axis=(1, 2))
+                        currents[start + i, block] = _device_sums(gate[i], vds[i], rank, res, out)
         return currents if q.ndim == 2 else currents[0]
 
     def search(self, query) -> QueryResult:
@@ -313,9 +337,96 @@ class Crossbar:
     def knn(self, query, kq: int):
         """The kq rows of lowest current in ascending order; ties go to the lowest index.
 
-        One list of rows for one query, a list of them for a batch.
+        One list of rows for one query, a list of them for a batch; either
+        way smallest_k over row_currents. A varied array gets there by
+        ranking (`_bounded_knn`) where its bound holds.
         """
+        if self._rank is not None:
+            q = self._queries(query)
+            found = self._bounded_knn(q.reshape(-1, self.dims), kq)
+            if found is not None:
+                return (found if q.ndim == 2 else found[0]).tolist()
         return smallest_k(self.search(query).row_currents, kq).tolist()
+
+    def _queries(self, query) -> np.ndarray:
+        """query as checked symbols, one (dims,) query or a (Q, dims) batch."""
+        q = checked_symbols(query, self.encoding.m, "query symbols must lie in [0, m)")
+        if q.ndim not in (1, 2) or q.shape[-1] != self.dims:
+            raise ValueError(f"query must have {self.dims} symbols")
+        return q
+
+    def _bounded_knn(self, batch: np.ndarray, kq: int) -> Optional[np.ndarray]:
+        """smallest_k(row_currents(batch), kq) of a varied array by the float32 bound, or None.
+
+        The module docstring describes the bound and its candidates. Its
+        delta is 2 (n + 2) 2**-53 instead when the float32 sums are exact
+        integers (sigma_R = 0 and n times the largest multiple at most
+        2**24): float64's error alone. A slack covers subnormal results,
+        whose error is absolute. Candidates are summed by _device_sums, as
+        row_currents sums them, and ranked in ascending index order, so
+        ties still go to the lowest index. None (sense every row) where the
+        bound does not hold.
+        """
+        n = self.dims * self.k
+        top = float(self._multiples.max())
+        if n * 2.0**-24 > 0.1 or top > 2**24:
+            return None
+        drawn = isinstance(self._res, np.ndarray)  # a resistance per device
+        gate = self._gate_by_symbol[batch].reshape(len(batch), n)
+        drain = self._multiples[batch].reshape(len(batch), n).astype(np.float32)
+        approx = np.empty((len(batch), self.rows), dtype=np.float32)
+        blocks = self._row_blocks()
+        step = blocks[0].stop
+        g, masked = np.empty((2, step, n), dtype=np.float32)
+        floor = np.inf if drawn else self._res  # the least resistance
+        for block in blocks:
+            size = block.stop - block.start
+            rank = self._rank[block].reshape(size, n)
+            if drawn:
+                res = self._res[block].reshape(size, n)
+                np.divide(self.ladder.resistance, res, out=g[:size])
+                floor = min(floor, float(res.min()))
+            for i in range(len(batch)):
+                on = np.greater(gate[i], rank, out=masked[:size])
+                if drawn:
+                    on *= g[:size]
+                np.matmul(on, drain[i], out=approx[i, block])
+        if float(self._vds_by_symbol.max()) >= DEFAULT_ISAT * floor:  # the clamp is reachable
+            return None
+
+        exact32 = not drawn and n * top <= 2**24
+        delta = 2 * (n + 2) * 2.0 ** (-53 if exact32 else -24)
+        # A subnormal result errs absolutely: a float32 one by 2**-150 per g and per
+        # product, a float64 one by 2**-1075 per drain and per current (over the unit
+        # current, in unit multiples). The slack is twice their sum over n terms.
+        slack = n * ((top + 1) * 2.0**-149 + 2.0**-1074 * (1 / floor + 1) / self.unit_current)
+        approx = approx.astype(np.float64)
+        upper = approx * (1 + delta) + slack
+        lower = approx * (1 - delta) - slack
+        cut = np.take_along_axis(upper, smallest_k(upper, kq)[:, -1:], axis=-1)
+        found = np.empty((len(batch), kq), dtype=np.intp)
+        shape = (step, self.dims, self.k)
+        current, on = np.empty(shape), np.empty(shape, dtype=bool)
+        for i, candidates in enumerate(lower <= cut):
+            rows = np.flatnonzero(candidates)
+            gate_i, vds_i = self._gate_by_symbol[batch[i]], self._vds_by_symbol[batch[i]]
+            sums = np.empty(len(rows))
+            for start in range(0, len(rows), step):
+                part = rows[start:start + step]
+                res = self._res[part] if drawn else self._res
+                out = current[:len(part)], on[:len(part)]
+                sums[start:start + step] = _device_sums(gate_i, vds_i, self._rank[part], res, out)
+            found[i] = rows[smallest_k(sums, kq)]
+        return found
+
+
+def _device_sums(gate, vds, rank, res, out) -> np.ndarray:
+    """Exact row currents of the rows of a (rows, dims, k) device record for one query.
+
+    Every exact varied current comes from here, so a row's sum is the same
+    whether its block or only a few candidate rows are summed.
+    """
+    return conduct(gate, vds, rank, res, out=out).sum(axis=(1, 2))
 
 
 @dataclass(frozen=True)
@@ -374,7 +485,7 @@ def monte_carlo(
         winners = []
         for idx in chunk:
             cb.resample_variation(np.random.default_rng(children[idx]), params)
-            winners.append(tuple(cb.search(queries).winner))
+            winners.append(tuple(row for (row,) in cb.knn(queries, 1)))
         return winners
 
     workers = max(1, min(workers, runs, os.cpu_count() or 1))

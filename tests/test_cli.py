@@ -555,6 +555,8 @@ def test_bench_summary_keys_per_pipeline(capsys, pipeline, present, absent):
     ("hdc", "synthetic", ["--train-csv", "t.csv"], "--train-csv is not read with --dataset synthetic"),
     ("knn", "mnist", ["--test-csv", "t.csv"], "--test-csv is not read with --dataset mnist"),
     ("knn", "synthetic", ["--dim", "7"], "--dimension is not read with --pipeline knn"),
+    ("knn", "csv", ["--train-size", "5"], "--train-size is not read with --dataset csv"),
+    ("hdc", "csv", ["--test-size", "5"], "--test-size is not read with --dataset csv"),
 ])
 def test_bench_refuses_a_flag_its_run_does_not_read(capsys, pipeline, dataset, given, error):
     assert run(["bench", "--pipeline", pipeline, "--dataset", dataset, "--metric", "hamming",
@@ -574,6 +576,19 @@ def test_bench_summary_leaves_out_config_keys_its_run_does_not_read(tmp_path, ca
         config = json.loads(capsys.readouterr().out)["config"]
         assert read <= config.keys()
         assert not (unread | {"data_root", "train_csv", "test_csv"}) & config.keys()
+
+
+def test_csv_bench_summary_leaves_out_the_split_sizes(tmp_path, capsys):
+    # load_csv_dataset reads each file whole, so the size defaults are not recorded.
+    train = tmp_path / "train.csv"
+    test = tmp_path / "test.csv"
+    train.write_text("0.0,1.0,0\n0.2,0.5,1\n1.0,0.0,1\n0.5,0.5,0\n")
+    test.write_text("0.1,0.9,0\n0.9,0.1,1\n")
+    assert run(["bench", "--pipeline", "knn", "--dataset", "csv", "--train-csv", str(train),
+                "--test-csv", str(test), "--metric", "hamming", "--bits", "1"]) == EXIT_OK
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["train_size"], summary["test_size"]) == (4, 2)
+    assert not {"train_size", "test_size"} & summary["config"].keys()
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):

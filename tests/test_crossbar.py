@@ -9,7 +9,7 @@ import pytest
 
 from dmcam import crossbar
 from dmcam.crossbar import Crossbar, monte_carlo
-from dmcam.device import VariationParams, conduct
+from dmcam.device import DEFAULT_ISAT, VariationParams, conduct
 from dmcam.encoder import VoltageEncoding, VoltageLadder
 
 
@@ -348,17 +348,42 @@ def test_concurrent_searches_of_one_varied_array(hamming_compiled):
     queries = rng.integers(0, 4, (6, 784))
     cb = Crossbar(hamming_compiled.encoding, stored, variation=PAPER_SIGMAS)
     serial = cb.row_currents(queries)
+    ranked = cb.knn(queries, 3)
     workers = (os.cpu_count() or 1) + 1
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(cb.row_currents, queries) for _ in range(2 * workers)]
+            nearest = [pool.submit(cb.knn, queries, 3) for _ in range(2 * workers)]
             found = [future.result(timeout=60) for future in futures]
+            found_knn = [future.result(timeout=60) for future in nearest]
     finally:
         sys.setswitchinterval(interval)
     for currents in found:
         assert np.array_equal(currents, serial)
+    assert ranked == crossbar.smallest_k(serial, 3).tolist()
+    assert all(rows == ranked for rows in found_knn)
+
+
+def test_a_draw_that_can_reach_the_clamp_is_ranked_exactly(hamming_compiled):
+    # At sigma_R = 50 % some resistances sit at the 1 % floor, where a 0.25 V
+    # drain drives 2.4e-5 A, above DEFAULT_ISAT: the float32 bound does not hold.
+    rng = np.random.default_rng(30)
+    stored = rng.integers(0, 4, (40, 50))
+    queries = rng.integers(0, 4, (3, 50))
+    cb = Crossbar(hamming_compiled.encoding, stored, variation=VariationParams(0.054, 0.5, seed=4))
+    assert cb._vds_by_symbol.max() / cb._res.min() >= DEFAULT_ISAT
+    assert cb._bounded_knn(queries, 3) is None
+    assert cb.knn(queries, 3) == crossbar.smallest_k(cb.row_currents(queries), 3).tolist()
+
+
+def test_rows_past_the_bound_are_ranked_exactly(hamming_compiled):
+    # 560000 x 3 devices a row: n x 2**-24 is above 0.1, so the bound is not used.
+    stored = np.zeros((1, 560000), dtype=np.uint8)
+    cb = Crossbar(hamming_compiled.encoding, stored, variation=VariationParams(0.0, 0.08, seed=5))
+    assert cb._bounded_knn(stored, 1) is None
+    assert cb.knn(stored[0], 1) == [0]
 
 
 # Programs a varied array at the knn benchmark's shape (1000 x 784, k = 3),
@@ -596,19 +621,25 @@ def test_entry_sums_hands_the_kernel_one_block_at_a_time(monkeypatch, rows, dims
     table = rng.integers(0, 5, (4, 4))
     stored = rng.integers(0, 4, (rows, dims)).astype(np.uint8)
     queries = rng.integers(0, 4, (2 * crossbar.QUERY_BLOCK + 3, dims)).astype(np.uint8)
-    seen = []
-    kernel = crossbar._masked_sums
+    seen, gathered = [], []
+    kernel, gather = crossbar._masked_sums, crossbar._gathered
 
-    def spy(t, masked, other):
-        seen.append((len(masked), len(other)))
-        return kernel(t, masked, other)
+    def spy(table_at_other, masked):
+        seen.append((len(masked), table_at_other.shape[1]))
+        return kernel(table_at_other, masked)
+
+    def gather_spy(t, other):
+        gathered.append(len(other))
+        return gather(t, other)
 
     monkeypatch.setattr(crossbar, "_masked_sums", spy)
+    monkeypatch.setattr(crossbar, "_gathered", gather_spy)
     sums = crossbar.entry_sums(table, stored, queries)
     # whichever operand gets the masks, the other one is the stored array
     per_call = [masked if other == rows else other for masked, other in seen]
     assert max(per_call) <= crossbar.QUERY_BLOCK
     assert sum(per_call) == len(queries)
+    assert gathered.count(rows) <= 1  # the stored array is gathered once per call at most
     expected = table[queries[:, None, :], stored[None, :, :]].sum(axis=2)
     assert sums.dtype == np.float64
     assert np.array_equal(sums, expected)

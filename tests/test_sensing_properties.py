@@ -139,6 +139,51 @@ def test_smallest_k_equals_stable_argsort_prefix(count, rows, distinct, floats, 
             smallest_k(values, kq)
 
 
+LADDERS = {"default": VoltageLadder(), "0.1 V / 1 Mohm": VoltageLadder(unit_vds=0.1, resistance=1e6)}
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    rows=st.integers(1, 90),
+    dims=st.sampled_from([1, 7, 64, 784]),
+    count=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    ladder=st.sampled_from(sorted(LADDERS)),
+    sigma_vth=st.sampled_from([1e-3, 0.054, 0.12]),  # at 1 mV no device leaves its rank
+    # Rows equally distant differ by about float32's rounding at 1e-6, in ulps at 1e-9.
+    sigma_r=st.sampled_from([0.0, 1e-9, 1e-6, 0.08]),
+    duplicates=st.booleans(),
+)
+# Several row blocks (55 rows of 784 x 3 devices a block, 41 of 784 x 4).
+@example(kind="hamming", rows=90, dims=784, count=3, seed=1, ladder="0.1 V / 1 Mohm",
+         sigma_vth=0.054, sigma_r=0.08, duplicates=True)
+@example(kind="sq_euclidean", rows=90, dims=784, count=2, seed=2, ladder="default",
+         sigma_vth=1e-3, sigma_r=0.0, duplicates=True)
+# Repeated rows whose float32 sums round out of the order of their exact ones.
+@example(kind="hamming", rows=40, dims=784, count=3, seed=4, ladder="default",
+         sigma_vth=1e-3, sigma_r=1e-6, duplicates=True)
+# One row wider than DEVICE_BLOCK: 44000 x 3 devices.
+@example(kind="manhattan", rows=3, dims=44000, count=2, seed=3, ladder="default",
+         sigma_vth=0.054, sigma_r=1e-9, duplicates=False)
+def test_varied_knn_equals_smallest_k_of_row_currents(
+    kind, rows, dims, count, seed, ladder, sigma_vth, sigma_r, duplicates
+):
+    compiled = _compiled(kind)
+    stored = _symbols(seed, rows, dims, compiled.dm.n)
+    if duplicates:  # the second half repeats the first
+        stored[rows // 2:] = stored[:rows - rows // 2]
+    queries = _symbols(seed + 1, count, dims, compiled.dm.m)
+    variation = VariationParams(sigma_vth, sigma_r, seed)
+    cb = Crossbar(compiled.encoding, stored, LADDERS[ladder], variation=variation)
+    currents = cb.row_currents(queries)
+    for kq in sorted({1, min(3, rows), rows}):
+        expected = smallest_k(currents, kq).tolist()
+        assert cb._bounded_knn(queries, kq).tolist() == expected  # ranked, not a fallback
+        assert cb.knn(queries, kq) == expected
+        assert cb.knn(queries[0], kq) == expected[0]
+
+
 def _gather_sums(table, stored, queries):
     """The definition, in int64: sums[q, r] = sum over d of table[queries[q, d], stored[r, d]]."""
     return table[queries[:, None, :], stored[None]].sum(axis=-1)
