@@ -417,7 +417,10 @@ def _load_bench_dataset(args):
 def _bench_unread(args) -> dict[str, str]:
     """The bench flags this run does not read, each with the flag setting that leaves it unread."""
     pipeline, dataset = f"--pipeline {args.pipeline}", f"--dataset {args.dataset}"
-    reads = {"kq": (args.pipeline == "knn", pipeline),
+    # hdc draws its projection, synthetic and mnist their split, a sigma its devices
+    draws = args.pipeline == "hdc" or args.dataset != "csv" or args.sigma_vth or args.sigma_r
+    reads = {"seed": (draws, f"{pipeline} {dataset} --sigma-vth 0 --sigma-r 0"),
+             "kq": (args.pipeline == "knn", pipeline),
              "dimension": (args.pipeline == "hdc", pipeline),
              "epochs": (args.pipeline == "hdc", pipeline),
              "data_root": (args.dataset == "mnist", dataset),
@@ -506,6 +509,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"dmcam: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        print(f"dmcam: out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_ERROR
     except ValueError as exc:
         print(f"dmcam: error: {exc}", file=sys.stderr)
         return EXIT_ERROR

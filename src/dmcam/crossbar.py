@@ -29,15 +29,15 @@ across redraws; a zero-sigma redraw drops them, as a draw that raises
 does. The constructor is the nominal array plus one redraw from
 default_rng(variation.seed). `device.sample_variation` draws the record:
 every device at its nominal rank, then by thinning only the devices that
-leave it, then every resistance. A search compares each query's gate
-ranks with the record through `conduct`, DEVICE_BLOCK devices' worth of
-rows at a time (a row wider than that is a block of its own), in
-block-sized buffers local to each call; it takes its queries as many at a
-time as a block has rows and evaluates each block for all of them in
-turn. So two threads may search one varied array at once; a redraw must
-not overlap a search.
+leave it, then every resistance. Its one exact sum (`_exact_sums`)
+compares each query's gate ranks with the record through `conduct`,
+DEVICE_BLOCK devices' worth of rows at a time (a row wider than that is a
+block of its own), in block-sized buffers local to each call; it takes its
+queries as many at a time as a block has rows and evaluates each block for
+all of them in turn. So two threads may search one varied array at once; a
+redraw must not overlap a search.
 
-`knn` on a varied array ranks rather than sensing every row exactly. A
+`row_currents` on a varied array sums every row exactly; `knn` ranks. A
 float32 pass bounds each row's current in unit multiples, a row block at a
 time in buffers local to the call: g = fl32(R0 / R) once per block, then
 per query one GEMV of (gate > rank) * g against the query's drain
@@ -45,12 +45,11 @@ multiples. Its n = dims x k terms are all >= 0, so the exact current lies
 within delta = 2 (n + 2) 2**-24 of the sum, relatively (Higham 2002,
 section 3.1); at sigma_R = 0 the sum is an exact integer and only rows tied
 in distance stay together. A row whose lower bound is at or below the
-kq-th smallest upper bound is a candidate, and only the candidates are
-summed again exactly, as row_currents sums them, so knn returns what
-smallest_k over row_currents returns. Where the bound does not hold (the
-saturation clamp is reachable, max vds / min R >= DEFAULT_ISAT; n x 2**-24
-> 0.1; a drain multiple above 2**24), knn senses every row exactly.
-`monte_carlo` takes its winners from knn.
+kq-th smallest upper bound is a candidate; every row is a candidate where
+the bound does not hold (the saturation clamp is reachable, max vds / min
+R >= DEFAULT_ISAT; n x 2**-24 > 0.1; a drain multiple above 2**24). Only
+the candidates are summed exactly, so knn returns what smallest_k over
+row_currents returns. `monte_carlo` takes its winners from knn.
 
 Source-line clamping is modeled as ideal, so drain voltages depend on the
 query alone.
@@ -276,11 +275,6 @@ class Crossbar:
             )
         return units
 
-    def _row_blocks(self) -> list[slice]:
-        """Row blocks of at most DEVICE_BLOCK devices; a row wider than that is a block of its own."""
-        step = max(1, DEVICE_BLOCK // (self.dims * self.k))
-        return [slice(start, min(start + step, self.rows)) for start in range(0, self.rows, step)]
-
     def resample_variation(self, rng: np.random.Generator, params: VariationParams) -> None:
         """Redraw every device's record from the given stream, in place.
 
@@ -303,30 +297,14 @@ class Crossbar:
         """Per-row currents in amperes: (rows,) for one query, (Q, rows) for a (Q, dims) batch.
 
         A nominal array sums its unit table exactly and scales once by the
-        unit current; a varied array evaluates every device per query, one
-        row block at a time, comparing the query's gate ranks with the
-        devices' drawn ones.
+        unit current; a varied array sums every device (`_exact_sums`).
         """
         q = self._queries(query)
         batch = q.reshape(-1, self.dims)
         if self._rank is None:
             currents = entry_sums(self._units, self._stored, batch) * self.unit_current
         else:
-            currents = np.empty((len(batch), self.rows))
-            blocks = self._row_blocks()
-            step = blocks[0].stop  # rows per block, and queries per chunk
-            shape = (step, self.dims, self.k)
-            current, on = np.empty(shape), np.empty(shape, dtype=bool)
-            # Each block's draws are read once per chunk of queries, not once per query.
-            for start in range(0, len(batch), step):
-                chunk = batch[start:start + step]
-                gate, vds = self._gate_by_symbol[chunk], self._vds_by_symbol[chunk]
-                for block in blocks:
-                    size = block.stop - block.start
-                    rank, out = self._rank[block], (current[:size], on[:size])
-                    res = self._res if np.isscalar(self._res) else self._res[block]
-                    for i in range(len(chunk)):
-                        currents[start + i, block] = _device_sums(gate[i], vds[i], rank, res, out)
+            currents = self._exact_sums(batch)
         return currents if q.ndim == 2 else currents[0]
 
     def search(self, query) -> QueryResult:
@@ -338,15 +316,14 @@ class Crossbar:
         """The kq rows of lowest current in ascending order; ties go to the lowest index.
 
         One list of rows for one query, a list of them for a batch; either
-        way smallest_k over row_currents. A varied array gets there by
-        ranking (`_bounded_knn`) where its bound holds.
+        way smallest_k over row_currents. A nominal array takes the currents
+        of one search, a varied one ranks (`_bounded_knn`).
         """
-        if self._rank is not None:
-            q = self._queries(query)
-            found = self._bounded_knn(q.reshape(-1, self.dims), kq)
-            if found is not None:
-                return (found if q.ndim == 2 else found[0]).tolist()
-        return smallest_k(self.search(query).row_currents, kq).tolist()
+        if self._rank is None:
+            return smallest_k(self.search(query).row_currents, kq).tolist()
+        q = self._queries(query)
+        found = self._bounded_knn(q.reshape(-1, self.dims), kq)
+        return (found if q.ndim == 2 else found[0]).tolist()
 
     def _queries(self, query) -> np.ndarray:
         """query as checked symbols, one (dims,) query or a (Q, dims) batch."""
@@ -355,33 +332,66 @@ class Crossbar:
             raise ValueError(f"query must have {self.dims} symbols")
         return q
 
-    def _bounded_knn(self, batch: np.ndarray, kq: int) -> Optional[np.ndarray]:
-        """smallest_k(row_currents(batch), kq) of a varied array by the float32 bound, or None.
+    @property
+    def _block_rows(self) -> int:
+        """Rows per row block: DEVICE_BLOCK devices' worth, or one row wider than that."""
+        return max(1, DEVICE_BLOCK // (self.dims * self.k))
+
+    def _exact_sums(self, batch: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """A varied array's exact currents: one row per query of batch, one column per row summed.
+
+        rows is slice(None), every row, or ascending row indices. The queries
+        are taken as many at a time as a block has rows, and each row block
+        is evaluated through `conduct` for each query of the chunk in turn,
+        so its record is read once per chunk; the buffers belong to the
+        call. A row's sum is the same whichever rows are summed with it.
+        """
+        every = isinstance(rows, slice)
+        count = self.rows if every else len(rows)
+        step = self._block_rows
+        sums = np.empty((len(batch), count))
+        shape = (min(step, count), self.dims, self.k)
+        current, on = np.empty(shape), np.empty(shape, dtype=bool)
+        for start in range(0, len(batch), step):
+            chunk = batch[start:start + step]
+            gate = np.take(self._gate_by_symbol, chunk, axis=0)  # take gathers faster than [chunk]
+            vds = np.take(self._vds_by_symbol, chunk, axis=0)
+            for first in range(0, count, step):
+                block = slice(first, first + step)
+                part = block if every else rows[block]
+                rank = self._rank[part]
+                res = self._res[part] if isinstance(self._res, np.ndarray) else self._res
+                out = current[:len(rank)], on[:len(rank)]
+                for i in range(len(chunk)):
+                    sums[start + i, block] = conduct(gate[i], vds[i], rank, res, out).sum((1, 2))
+        return sums
+
+    def _bounded_knn(self, batch: np.ndarray, kq: int) -> np.ndarray:
+        """smallest_k(row_currents(batch), kq) of a varied array, ranked by the float32 bound.
 
         The module docstring describes the bound and its candidates. Its
         delta is 2 (n + 2) 2**-53 instead when the float32 sums are exact
         integers (sigma_R = 0 and n times the largest multiple at most
         2**24): float64's error alone. A slack covers subnormal results,
-        whose error is absolute. Candidates are summed by _device_sums, as
-        row_currents sums them, and ranked in ascending index order, so
-        ties still go to the lowest index. None (sense every row) where the
-        bound does not hold.
+        whose error is absolute. Each query's candidates are summed by
+        _exact_sums and ranked in ascending index order, so ties still go to
+        the lowest index.
         """
         n = self.dims * self.k
         top = float(self._multiples.max())
         if n * 2.0**-24 > 0.1 or top > 2**24:
-            return None
+            return smallest_k(self._exact_sums(batch), kq)
         drawn = isinstance(self._res, np.ndarray)  # a resistance per device
         gate = self._gate_by_symbol[batch].reshape(len(batch), n)
         drain = self._multiples[batch].reshape(len(batch), n).astype(np.float32)
         approx = np.empty((len(batch), self.rows), dtype=np.float32)
-        blocks = self._row_blocks()
-        step = blocks[0].stop
-        g, masked = np.empty((2, step, n), dtype=np.float32)
+        step = self._block_rows
+        g, masked = np.empty((2, min(step, self.rows), n), dtype=np.float32)
         floor = np.inf if drawn else self._res  # the least resistance
-        for block in blocks:
-            size = block.stop - block.start
-            rank = self._rank[block].reshape(size, n)
+        for first in range(0, self.rows, step):
+            block = slice(first, first + step)
+            rank = self._rank[block].reshape(-1, n)
+            size = len(rank)
             if drawn:
                 res = self._res[block].reshape(size, n)
                 np.divide(self.ladder.resistance, res, out=g[:size])
@@ -392,7 +402,7 @@ class Crossbar:
                     on *= g[:size]
                 np.matmul(on, drain[i], out=approx[i, block])
         if float(self._vds_by_symbol.max()) >= DEFAULT_ISAT * floor:  # the clamp is reachable
-            return None
+            return smallest_k(self._exact_sums(batch), kq)
 
         exact32 = not drawn and n * top <= 2**24
         delta = 2 * (n + 2) * 2.0 ** (-53 if exact32 else -24)
@@ -405,28 +415,10 @@ class Crossbar:
         lower = approx * (1 - delta) - slack
         cut = np.take_along_axis(upper, smallest_k(upper, kq)[:, -1:], axis=-1)
         found = np.empty((len(batch), kq), dtype=np.intp)
-        shape = (step, self.dims, self.k)
-        current, on = np.empty(shape), np.empty(shape, dtype=bool)
         for i, candidates in enumerate(lower <= cut):
             rows = np.flatnonzero(candidates)
-            gate_i, vds_i = self._gate_by_symbol[batch[i]], self._vds_by_symbol[batch[i]]
-            sums = np.empty(len(rows))
-            for start in range(0, len(rows), step):
-                part = rows[start:start + step]
-                res = self._res[part] if drawn else self._res
-                out = current[:len(part)], on[:len(part)]
-                sums[start:start + step] = _device_sums(gate_i, vds_i, self._rank[part], res, out)
-            found[i] = rows[smallest_k(sums, kq)]
+            found[i] = rows[smallest_k(self._exact_sums(batch[i:i + 1], rows)[0], kq)]
         return found
-
-
-def _device_sums(gate, vds, rank, res, out) -> np.ndarray:
-    """Exact row currents of the rows of a (rows, dims, k) device record for one query.
-
-    Every exact varied current comes from here, so a row's sum is the same
-    whether its block or only a few candidate rows are summed.
-    """
-    return conduct(gate, vds, rank, res, out=out).sum(axis=(1, 2))
 
 
 @dataclass(frozen=True)

@@ -117,3 +117,20 @@ def synthetic_digits_via_idx(tmpdir, **kwargs) -> Dataset:
     loaded = load_mnist(root)
     loaded.name = "synthetic"
     return loaded
+
+
+def spy_exact_sums(cb) -> list:
+    """Records each exact varied sum on cb as (queries, rows summed), rows None for every row.
+
+    A ranked search sums only its candidates, one query at a time; one whose
+    bound does not hold sums every row.
+    """
+    calls = []
+    exact_sums = cb._exact_sums
+
+    def spy(batch, rows=slice(None)):
+        calls.append((len(batch), None if isinstance(rows, slice) else len(rows)))
+        return exact_sums(batch, rows)
+
+    cb._exact_sums = spy
+    return calls

@@ -4,6 +4,7 @@ import json
 import pytest
 from conftest import synthetic_digits_via_idx
 
+from dmcam import cli
 from dmcam.apps import hdc_train
 from dmcam.cli import (
     EXIT_BUDGET,
@@ -557,6 +558,8 @@ def test_bench_summary_keys_per_pipeline(capsys, pipeline, present, absent):
     ("knn", "synthetic", ["--dim", "7"], "--dimension is not read with --pipeline knn"),
     ("knn", "csv", ["--train-size", "5"], "--train-size is not read with --dataset csv"),
     ("hdc", "csv", ["--test-size", "5"], "--test-size is not read with --dataset csv"),
+    ("knn", "csv", ["--seed", "1"],
+     "--seed is not read with --pipeline knn --dataset csv --sigma-vth 0 --sigma-r 0"),
 ])
 def test_bench_refuses_a_flag_its_run_does_not_read(capsys, pipeline, dataset, given, error):
     assert run(["bench", "--pipeline", pipeline, "--dataset", dataset, "--metric", "hamming",
@@ -589,6 +592,36 @@ def test_csv_bench_summary_leaves_out_the_split_sizes(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert (summary["train_size"], summary["test_size"]) == (4, 2)
     assert not {"train_size", "test_size"} & summary["config"].keys()
+
+
+def test_csv_knn_reads_the_seed_only_at_a_sigma_above_zero(tmp_path, capsys):
+    # A CSV split is read whole and a nominal knn draws no device: no seed is read.
+    train, test, cfg = tmp_path / "train.csv", tmp_path / "test.csv", tmp_path / "cfg.json"
+    train.write_text("0.0,1.0,0\n0.2,0.5,1\n1.0,0.0,1\n0.5,0.5,0\n")
+    test.write_text("0.1,0.9,0\n0.9,0.1,1\n")
+    cfg.write_text(json.dumps({"seed": 7}))
+    argv = ["--config", str(cfg), "bench", "--pipeline", "knn", "--dataset", "csv",
+            "--train-csv", str(train), "--test-csv", str(test), "--metric", "hamming",
+            "--bits", "1"]
+    assert run(argv) == EXIT_OK
+    assert "seed" not in json.loads(capsys.readouterr().out)["config"]
+    for sigma in (["--sigma-vth", "0.054"], ["--sigma-r", "0.08"]):
+        assert run([*argv, *sigma]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["config"]["seed"] == 7
+        assert run([*argv, *sigma, "--seed", "3"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["config"]["seed"] == 3
+
+
+def test_out_of_memory_exits_1_without_a_traceback(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+    monkeypatch.setattr(cli, "compile_dm", exhausted)
+    argv = ["compile", "--metric", "hamming", "--bits", "3", "--budget", "10000000"]
+    assert run(argv) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == "dmcam: out of memory: Unable to allocate 8.00 GiB for an array\n"
+    assert "Traceback" not in err
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):

@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from conftest import spy_exact_sums
 from dmcam import crossbar
 from dmcam.crossbar import Crossbar, monte_carlo
 from dmcam.device import DEFAULT_ISAT, VariationParams, conduct
@@ -374,16 +375,18 @@ def test_a_draw_that_can_reach_the_clamp_is_ranked_exactly(hamming_compiled):
     queries = rng.integers(0, 4, (3, 50))
     cb = Crossbar(hamming_compiled.encoding, stored, variation=VariationParams(0.054, 0.5, seed=4))
     assert cb._vds_by_symbol.max() / cb._res.min() >= DEFAULT_ISAT
-    assert cb._bounded_knn(queries, 3) is None
+    summed = spy_exact_sums(cb)
     assert cb.knn(queries, 3) == crossbar.smallest_k(cb.row_currents(queries), 3).tolist()
+    assert summed[0] == (3, None)  # knn summed every row, not the candidates of a bound
 
 
 def test_rows_past_the_bound_are_ranked_exactly(hamming_compiled):
     # 560000 x 3 devices a row: n x 2**-24 is above 0.1, so the bound is not used.
     stored = np.zeros((1, 560000), dtype=np.uint8)
     cb = Crossbar(hamming_compiled.encoding, stored, variation=VariationParams(0.0, 0.08, seed=5))
-    assert cb._bounded_knn(stored, 1) is None
+    summed = spy_exact_sums(cb)
     assert cb.knn(stored[0], 1) == [0]
+    assert summed == [(1, None)]  # every row summed, not the candidates of a bound
 
 
 # Programs a varied array at the knn benchmark's shape (1000 x 784, k = 3),

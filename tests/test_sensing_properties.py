@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import spy_exact_sums
 from dmcam.apps import software_knn_order
 from dmcam.compiler import compile_dm
 from dmcam.crossbar import Crossbar, entry_sums, smallest_k
@@ -166,6 +167,9 @@ LADDERS = {"default": VoltageLadder(), "0.1 V / 1 Mohm": VoltageLadder(unit_vds=
 # One row wider than DEVICE_BLOCK: 44000 x 3 devices.
 @example(kind="manhattan", rows=3, dims=44000, count=2, seed=3, ladder="default",
          sigma_vth=0.054, sigma_r=1e-9, duplicates=False)
+# HDC's class array: 10 rows of 10000 x 3 devices, at the paper's sigmas.
+@example(kind="hamming", rows=10, dims=10000, count=3, seed=5, ladder="default",
+         sigma_vth=0.054, sigma_r=0.08, duplicates=False)
 def test_varied_knn_equals_smallest_k_of_row_currents(
     kind, rows, dims, count, seed, ladder, sigma_vth, sigma_r, duplicates
 ):
@@ -177,10 +181,11 @@ def test_varied_knn_equals_smallest_k_of_row_currents(
     variation = VariationParams(sigma_vth, sigma_r, seed)
     cb = Crossbar(compiled.encoding, stored, LADDERS[ladder], variation=variation)
     currents = cb.row_currents(queries)
+    summed = spy_exact_sums(cb)
     for kq in sorted({1, min(3, rows), rows}):
         expected = smallest_k(currents, kq).tolist()
-        assert cb._bounded_knn(queries, kq).tolist() == expected  # ranked, not a fallback
         assert cb.knn(queries, kq) == expected
+        assert summed and all(rows_summed is not None for _, rows_summed in summed)  # ranked
         assert cb.knn(queries[0], kq) == expected[0]
 
 
