@@ -219,21 +219,20 @@ def knn_classify(
     # whose calls perfbench/spans.py expects on knn.
     stored_q = quantizer._counts(train_x)
     test_q = quantizer.apply(test_x)
-    train_y = np.asarray(train_y, dtype=np.int64)
-
     cb = Crossbar(encoding, stored_q, ladder, variation=variation)
-    preds_hw = []
-    preds_sw = []
+    return _classify(cb, dm, stored_q, np.asarray(train_y, dtype=np.int64), test_q, test_y, kq)
 
-    def vote(orders):
-        return [majority_label(labels) for labels in train_y[orders].tolist()]
 
+def _classify(cb, dm, stored, labels, queries, true_labels, kq) -> PipelineReport:
+    """Vote the labels of each query's kq nearest rows, by cb.knn and by software_knn_order."""
+    preds_hw, preds_sw = [], []
     # One block at a time bounds the (queries x rows) currents and distances.
-    for start in range(0, len(test_q), QUERY_BLOCK):
-        block = test_q[start:start + QUERY_BLOCK]
-        preds_hw += vote(cb.knn(block, kq))
-        preds_sw += vote(software_knn_order(dm, stored_q, block, kq))
-    return PipelineReport.from_predictions(preds_hw, preds_sw, test_y)
+    for start in range(0, len(queries), QUERY_BLOCK):
+        block = queries[start:start + QUERY_BLOCK]
+        for preds, orders in ((preds_hw, cb.knn(block, kq)),
+                              (preds_sw, software_knn_order(dm, stored, block, kq))):
+            preds += [majority_label(row) for row in labels[orders].tolist()]
+    return PipelineReport.from_predictions(preds_hw, preds_sw, true_labels)
 
 
 # -- hyperdimensional classification -------------------------------------------
@@ -374,8 +373,6 @@ def hdc_evaluate(
     cb: Crossbar,
     dm: DistanceMatrix,
 ) -> PipelineReport:
-    """Classify each test sample on the class array and with the software twin."""
-    queries = model.encode(test_x)
-    preds_hw = cb.search(queries).winner
-    preds_sw = software_nearest(dm, model.quantized_class_vectors, queries)
-    return PipelineReport.from_predictions(preds_hw, preds_sw, test_y)
+    """Classify each test sample as its nearest class row, on cb and with the software twin."""
+    stored = model.quantized_class_vectors
+    return _classify(cb, dm, stored, np.arange(len(stored)), model.encode(test_x), test_y, 1)

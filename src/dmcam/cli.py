@@ -439,6 +439,8 @@ def cmd_bench(args) -> int:
         raise SystemExit2(f"--bits {args.bits} needs at least {2 ** args.bits} search and stored "
                           f"symbols; the {dm.m}x{dm.n} matrix has too few")
     ds = _load_bench_dataset(args)
+    if args.pipeline == "knn" and args.kq > len(ds.train_x):
+        raise SystemExit2(f"--kq {args.kq} exceeds the {len(ds.train_x)} training rows")
     cr = _levels_from_args(args, dm)
     compiled = compile_dm(dm, cr, k_max=args.k_max)
     if not compiled.feasible:

@@ -47,9 +47,9 @@ section 3.1); at sigma_R = 0 the sum is an exact integer and only rows tied
 in distance stay together. A row whose lower bound is at or below the
 kq-th smallest upper bound is a candidate; every row is a candidate where
 the bound does not hold (the saturation clamp is reachable, max vds / min
-R >= DEFAULT_ISAT; n x 2**-24 > 0.1; a drain multiple above 2**24). Only
-the candidates are summed exactly, so knn returns what smallest_k over
-row_currents returns. `monte_carlo` takes its winners from knn.
+R >= DEFAULT_ISAT; n x 2**-24 > 0.1; a drain multiple above 2**24). Only the
+candidates are summed exactly, so knn returns smallest_k over row_currents.
+Every pipeline ranks through knn: `monte_carlo` and both `apps` classifiers.
 
 Source-line clamping is modeled as ideal, so drain voltages depend on the
 query alone.
@@ -382,8 +382,8 @@ class Crossbar:
         if n * 2.0**-24 > 0.1 or top > 2**24:
             return smallest_k(self._exact_sums(batch), kq)
         drawn = isinstance(self._res, np.ndarray)  # a resistance per device
-        gate = self._gate_by_symbol[batch].reshape(len(batch), n)
-        drain = self._multiples[batch].reshape(len(batch), n).astype(np.float32)
+        gate = np.take(self._gate_by_symbol, batch, axis=0).reshape(len(batch), n)
+        drain = np.take(self._multiples, batch, axis=0).reshape(len(batch), n).astype(np.float32)
         approx = np.empty((len(batch), self.rows), dtype=np.float32)
         step = self._block_rows
         g, masked = np.empty((2, min(step, self.rows), n), dtype=np.float32)

@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from conftest import spy_exact_sums
 
 from dmcam import apps
 from dmcam.apps import (
@@ -16,6 +17,7 @@ from dmcam.apps import (
     software_knn_order,
     software_nearest,
 )
+from dmcam.crossbar import QUERY_BLOCK, Crossbar
 from dmcam.datasets import Dataset, synthetic_digits
 from dmcam.device import VariationParams
 
@@ -429,6 +431,47 @@ def test_hdc_zero_variation_agreement(hamming_compiled, hamming_dm):
     assert report.agreement == 1.0
     assert report.predictions_hw == report.predictions_sw
     assert len(report.predictions_hw) == len(ds.test_y)
+
+
+def test_varied_hdc_sums_only_candidate_rows(hamming_compiled, hamming_dm):
+    # A varied class array ranks through knn's float32 bound, as a varied knn does.
+    ds = _small_dataset(seed=10)
+    model = hdc_train(ds, dimension=256, bits=2, seed=10)
+    cb = hdc_class_crossbar(model, hamming_compiled.encoding,
+                            variation=VariationParams(0.054, 0.08, seed=3))
+    summed = spy_exact_sums(cb)
+    report = hdc_evaluate(model, ds.test_x, ds.test_y, cb, hamming_dm)
+    assert summed and all(rows is not None for _, rows in summed)
+    assert list(report.predictions_hw) == cb.search(model.encode(ds.test_x)).winner
+
+
+@pytest.mark.parametrize("variation", [None, VariationParams(0.054, 0.08, seed=9)])
+def test_pipelines_over_several_query_blocks_match_one_query_at_a_time(
+        hamming_compiled, hamming_dm, variation):
+    ds = _small_dataset(seed=12, n_test=QUERY_BLOCK + 6)
+    enc, dm = hamming_compiled.encoding, hamming_dm
+    quantizer = Quantizer.fit(ds.train_x, 2)
+    stored, queries = quantizer.apply(ds.train_x), quantizer.apply(ds.test_x)
+    cb = Crossbar(enc, stored, variation=variation)  # the array knn_classify programs
+    report = knn_classify(ds.train_x, ds.train_y, ds.test_x, ds.test_y, dm=dm, encoding=enc,
+                          bits=2, kq=3, variation=variation)
+    assert report.predictions_hw == tuple(
+        majority_label(ds.train_y[cb.knn(q, 3)].tolist()) for q in queries)
+    assert report.predictions_sw == tuple(
+        majority_label(ds.train_y[software_knn_order(dm, stored, q, 3)].tolist())
+        for q in queries)
+    if variation is None:
+        assert report.predictions_hw == report.predictions_sw
+
+    model = hdc_train(ds, dimension=256, bits=2, seed=12)
+    cb = hdc_class_crossbar(model, enc, variation=variation)
+    report = hdc_evaluate(model, ds.test_x, ds.test_y, cb, dm)
+    queries = model.encode(ds.test_x)
+    assert report.predictions_hw == tuple(cb.search(q).winner for q in queries)
+    assert report.predictions_sw == tuple(
+        software_nearest(dm, model.quantized_class_vectors, q) for q in queries)
+    if variation is None:
+        assert report.predictions_hw == report.predictions_sw
 
 
 def _cosine_train_accuracy(model, ds):

@@ -536,6 +536,22 @@ def test_count_flag_out_of_range_is_refused_before_reading(tmp_path, capsys, com
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dataset", ["synthetic", "csv"])
+def test_bench_kq_above_the_training_rows_is_refused_before_compiling(tmp_path, capsys,
+                                                                     monkeypatch, dataset):
+    monkeypatch.setattr(cli, "compile_dm", lambda *a, **kw: pytest.fail("compiled"))
+    if dataset == "csv":
+        train = tmp_path / "train.csv"
+        train.write_text("0.0,1.0,0\n0.2,0.5,1\n1.0,0.0,1\n0.5,0.5,0\n")
+        split, rows = ["--train-csv", str(train), "--test-csv", str(train), "--bits", "1"], 4
+    else:
+        split, rows = ["--train-size", "30", "--test-size", "5"], 30
+    assert run(["bench", "--pipeline", "knn", "--dataset", dataset, "--metric", "hamming",
+                *split, "--kq", str(rows + 1)]) == EXIT_USAGE
+    error = f"--kq {rows + 1} exceeds the {rows} training rows"
+    assert capsys.readouterr().err == f"dmcam: error: {error}\n"
+
+
 @pytest.mark.parametrize("pipeline, present, absent", [
     ("knn", "degradation_pp", "corrections"),
     ("hdc", "corrections", "degradation_pp"),
