@@ -19,18 +19,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .crossbar import QUERY_BLOCK, Crossbar, checked_symbols, entry_sums, smallest_k
+from .crossbar import Crossbar, by_query_block, checked_symbols, entry_sums, smallest_k
 from .datasets import Dataset
-from .device import VariationParams
+from .device import DEVICE_BLOCK, VariationParams
 from .encoder import DEFAULT_LADDER, VoltageEncoding, VoltageLadder
 from .metric import DistanceMatrix
 
 # Columns of the HDC projection widened to float64 for one matmul.
 PROJECTION_BLOCK = 1024
-# Values in one temporary block of the projection draw and of a quantizer
-# fit (512 KB of int64 or float64): at the hdc benchmark's shape, 6 rows of a
-# 10000-wide projection or 65 features of 1000 samples.
-_BLOCK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -75,8 +71,8 @@ class Quantizer:
         below, above = below.astype(np.intp), above.astype(np.intp)
         # F order keeps each level's thresholds contiguous for _counts.
         thresholds = np.empty((features, levels - 1), order="F")
-        # Sorting a block of features at a time bounds the sorted copy.
-        step = max(1, _BLOCK_VALUES // n)
+        # Sorting DEVICE_BLOCK values' worth of features at a time bounds the sorted copy.
+        step = max(1, DEVICE_BLOCK // n)
         for f in range(0, features, step):
             columns = np.array(train[:, f:f + step].T, order="C")  # sorted in place
             columns.sort(axis=1)
@@ -135,8 +131,9 @@ def software_nearest(dm: DistanceMatrix, stored_q: np.ndarray, query_q: np.ndarr
 
 
 def software_knn_order(dm: DistanceMatrix, stored_q: np.ndarray, query_q: np.ndarray, kq: int):
-    """The kq nearest rows in ascending distance; ties go to the lowest index."""
-    return smallest_k(software_distances(dm, stored_q, query_q), kq).tolist()
+    """The kq nearest rows by distance, in knn's query blocks; ties go to the lowest index."""
+    return by_query_block(lambda block: smallest_k(software_distances(dm, stored_q, block), kq),
+                          np.atleast_1d(query_q))
 
 
 def majority_label(neighbor_labels: Sequence[int]) -> int:
@@ -224,14 +221,9 @@ def knn_classify(
 
 
 def _classify(cb, dm, stored, labels, queries, true_labels, kq) -> PipelineReport:
-    """Vote the labels of each query's kq nearest rows, by cb.knn and by software_knn_order."""
-    preds_hw, preds_sw = [], []
-    # One block at a time bounds the (queries x rows) currents and distances.
-    for start in range(0, len(queries), QUERY_BLOCK):
-        block = queries[start:start + QUERY_BLOCK]
-        for preds, orders in ((preds_hw, cb.knn(block, kq)),
-                              (preds_sw, software_knn_order(dm, stored, block, kq))):
-            preds += [majority_label(row) for row in labels[orders].tolist()]
+    """Vote each query's kq nearest rows' labels: one cb.knn and one software_knn_order call."""
+    orders = cb.knn(queries, kq), software_knn_order(dm, stored, queries, kq)
+    preds_hw, preds_sw = ([majority_label(row) for row in labels[o].tolist()] for o in orders)
     return PipelineReport.from_predictions(preds_hw, preds_sw, true_labels)
 
 
@@ -305,11 +297,10 @@ def hdc_train(
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     rng = np.random.default_rng(seed)
-    # Draw {0, 1} in the stream's int64 a block of rows at a time and keep it
-    # as int8 {-1, +1}; the blocks continue one stream, so the entries equal
-    # those of a single rng.integers(0, 2, (features, dimension)) call.
+    # Draw {0, 1} in the stream's int64, DEVICE_BLOCK values at a time, and keep it as int8
+    # {-1, +1}; the blocks continue one stream, so they equal one rng.integers(0, 2, shape) draw.
     stored_projection = np.empty((dataset.feature_count, dimension), dtype=np.int8)
-    step = max(1, _BLOCK_VALUES // dimension)
+    step = max(1, DEVICE_BLOCK // dimension)
     for r in range(0, dataset.feature_count, step):
         rows = stored_projection[r:r + step]
         rows[...] = rng.integers(0, 2, rows.shape)

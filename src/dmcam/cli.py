@@ -383,7 +383,7 @@ def cmd_mc(args) -> int:
             raise ValueError(f"{args.expected}: one expected winner per query is required, "
                              f"got {len(expected)} for {len(queries)} queries")
     else:
-        expected = Crossbar(encoding, stored, ladder).search(queries).winner
+        expected = [row for (row,) in Crossbar(encoding, stored, ladder).knn(queries, 1)]
     result = monte_carlo(
         encoding, stored, queries, expected, _variation_from_args(args), args.runs,
         ladder=ladder, workers=args.threads,

@@ -17,9 +17,8 @@ n symbols on the mask side, the mask on the left of each GEMM (on knn's
 1000 x 784 array against 20 queries, (1000 x 784) @ (784 x 20) takes
 about 0.35 ms against 0.65 ms the other way round, 2 cores). For every
 caller, `checked_symbols` checks symbols and narrows them once to the
-smallest unsigned dtype, and `entry_sums` senses queries QUERY_BLOCK at a
-time, which bounds its mask and gather buffers; a stored array on the
-gathered side is gathered once per call.
+smallest unsigned dtype, and `entry_sums` senses QUERY_BLOCK queries at a
+time, gathering a stored array on the gathered side once per call.
 
 A varied array is that array plus its device record: each device's gate
 rank (`device.gate_ranks`, uint8 up to 255 gate levels) and, while sigma_R
@@ -49,7 +48,10 @@ kq-th smallest upper bound is a candidate; every row is a candidate where
 the bound does not hold (the saturation clamp is reachable, max vds / min
 R >= DEFAULT_ISAT; n x 2**-24 > 0.1; a drain multiple above 2**24). Only the
 candidates are summed exactly, so knn returns smallest_k over row_currents.
-Every pipeline ranks through knn: `monte_carlo` and both `apps` classifiers.
+Every pipeline ranks through knn (`monte_carlo`, both `apps` classifiers).
+knn and `apps.software_knn_order` own the ranking window (`by_query_block`):
+QUERY_BLOCK queries at a time, so at most QUERY_BLOCK x dims x k gathered gate
+ranks and drain multiples and QUERY_BLOCK x rows bounds exist at once.
 
 Source-line clamping is modeled as ideal, so drain voltages depend on the
 query alone.
@@ -75,7 +77,7 @@ from .device import (
 from .encoder import DEFAULT_LADDER, VoltageEncoding, VoltageLadder
 
 
-QUERY_BLOCK = 64  # queries per block in entry_sums; bounds its mask and gather buffers
+QUERY_BLOCK = 64  # queries per block of entry_sums and of every knn ranking
 
 
 def checked_symbols(values, levels: int, error: str) -> np.ndarray:
@@ -175,6 +177,14 @@ def smallest_k(values: np.ndarray, kq: int) -> np.ndarray:
     kept = np.nonzero(keep)[1].reshape(-1, kq)  # ascending indices per query
     order = np.argsort(np.take_along_axis(flat, kept, axis=-1), axis=-1, kind="stable")
     return np.take_along_axis(kept, order, axis=-1).reshape(values.shape[:-1] + (kq,))
+
+
+def by_query_block(order, queries: np.ndarray) -> list:
+    """Each query's rows as a list: order maps each block of QUERY_BLOCK queries to (B, kq) rows."""
+    batch = queries.reshape(-1, queries.shape[-1])
+    blocks = range(0, max(len(batch), 1), QUERY_BLOCK)  # an empty batch still checks kq
+    found = np.concatenate([order(batch[start:start + QUERY_BLOCK]) for start in blocks])
+    return (found if queries.ndim == 2 else found[0]).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,15 +325,14 @@ class Crossbar:
     def knn(self, query, kq: int):
         """The kq rows of lowest current in ascending order; ties go to the lowest index.
 
-        One list of rows for one query, a list of them for a batch; either
-        way smallest_k over row_currents. A nominal array takes the currents
-        of one search, a varied one ranks (`_bounded_knn`).
+        One list of rows for one query, a list of them for a batch: smallest_k
+        over row_currents, QUERY_BLOCK queries at a time, by one search per block
+        on a nominal array and by `_bounded_knn` on a varied one.
         """
-        if self._rank is None:
-            return smallest_k(self.search(query).row_currents, kq).tolist()
         q = self._queries(query)
-        found = self._bounded_knn(q.reshape(-1, self.dims), kq)
-        return (found if q.ndim == 2 else found[0]).tolist()
+        if self._rank is None:
+            return by_query_block(lambda block: smallest_k(self.search(block).row_currents, kq), q)
+        return by_query_block(lambda block: self._bounded_knn(block, kq), q)
 
     def _queries(self, query) -> np.ndarray:
         """query as checked symbols, one (dims,) query or a (Q, dims) batch."""

@@ -27,7 +27,7 @@ import numpy as np
 
 DEFAULT_ISAT = 10e-6  # far above any unit-current multiple in use
 MIN_RESISTANCE_FACTOR = 0.01
-DEVICE_BLOCK = 2**17  # devices per block of a resistance draw and of a varied array's sensing
+DEVICE_BLOCK = 2**17  # values a block: resistance and projection draws, sensing, quantile fits
 
 
 @dataclass(frozen=True)

@@ -75,14 +75,14 @@ def test_quantizer_fit_in_feature_blocks_equals_numpy(monkeypatch, block_values)
     # 30 samples: blocks of 1, 3 or 10 of the 17 features; with 3 and 10 the
     # last block is short
     train = np.random.default_rng(7).normal(size=(30, 17))
-    monkeypatch.setattr(apps, "_BLOCK_VALUES", block_values)
+    monkeypatch.setattr(apps, "DEVICE_BLOCK", block_values)
     thresholds = Quantizer.fit(train, bits=2).thresholds
     assert np.array_equal(thresholds, _linear_quantiles(train, 2))
     assert thresholds.flags.f_contiguous
 
 
 def test_quantizer_fit_spanning_default_blocks_equals_numpy():
-    train = np.random.default_rng(8).uniform(-5.0, 5.0, (2000, 1100))  # 32 features a block
+    train = np.random.default_rng(8).uniform(-5.0, 5.0, (2000, 1100))  # 65 features a block
     assert np.array_equal(Quantizer.fit(train, bits=3).thresholds, _linear_quantiles(train, 3))
 
 
@@ -90,7 +90,7 @@ def test_quantizer_fit_spanning_default_blocks_equals_numpy():
 def test_quantizer_non_finite_value_in_a_later_block_rejected(monkeypatch, bad):
     train = np.random.default_rng(9).normal(size=(10, 12))
     train[4, 11] = bad  # in the last of four 3-feature blocks
-    monkeypatch.setattr(apps, "_BLOCK_VALUES", 30)
+    monkeypatch.setattr(apps, "DEVICE_BLOCK", 30)
     with pytest.raises(ValueError, match="training data must be finite"):
         Quantizer.fit(train, bits=2)
 
@@ -231,7 +231,7 @@ def test_projection_drawn_in_row_blocks_equals_one_draw(monkeypatch, features, d
                                                         block_values):
     x = np.random.default_rng(1).uniform(0.0, 255.0, (4, features))
     ds = Dataset("toy", x, np.array([0, 1, 0, 1]), x, np.array([0, 1, 0, 1]))
-    monkeypatch.setattr(apps, "_BLOCK_VALUES", block_values)
+    monkeypatch.setattr(apps, "DEVICE_BLOCK", block_values)
     model = hdc_train(ds, dimension=dimension, bits=2, seed=3)
     draw = np.random.default_rng(3).integers(0, 2, (features, dimension))
     assert model.projection.dtype == np.int8

@@ -646,3 +646,53 @@ def test_entry_sums_hands_the_kernel_one_block_at_a_time(monkeypatch, rows, dims
     expected = table[queries[:, None, :], stored[None, :, :]].sum(axis=2)
     assert sums.dtype == np.float64
     assert np.array_equal(sums, expected)
+
+
+def test_varied_knn_ranks_a_large_batch_in_a_query_window(hamming_compiled):
+    # 2048 queries of 784 symbols: gathering every query's gate ranks and drain
+    # multiples at once takes about 60 MiB, one QUERY_BLOCK window about 2 MiB.
+    rng = np.random.default_rng(34)
+    stored = rng.integers(0, 4, (32, 784)).astype(np.uint8)
+    queries = rng.integers(0, 4, (32 * crossbar.QUERY_BLOCK, 784)).astype(np.uint8)
+    cb = Crossbar(hamming_compiled.encoding, stored, variation=PAPER_SIGMAS)
+    tracemalloc.start()
+    try:
+        found = cb.knn(queries, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    blocks = range(0, len(queries), crossbar.QUERY_BLOCK)
+    assert found == [row for s in blocks for row in cb.knn(queries[s:s + crossbar.QUERY_BLOCK], 3)]
+
+
+def test_knn_and_its_twin_rank_at_most_one_query_block_a_call(monkeypatch, hamming_compiled,
+                                                              hamming_dm):
+    from dmcam import apps
+
+    rng = np.random.default_rng(34)
+    stored = rng.integers(0, 4, (40, 12)).astype(np.uint8)
+    cb = Crossbar(hamming_compiled.encoding, stored, variation=PAPER_SIGMAS)
+    bounded, distances = Crossbar._bounded_knn, apps.software_distances
+    seen = []
+
+    def bounded_spy(self, batch, kq):
+        seen.append(len(batch))
+        return bounded(self, batch, kq)
+
+    def distances_spy(dm, stored_q, query_q):
+        seen.append(len(np.atleast_2d(query_q)))
+        return distances(dm, stored_q, query_q)
+
+    for count in (0, 1, crossbar.QUERY_BLOCK, 3 * crossbar.QUERY_BLOCK + 5):
+        queries = rng.integers(0, 4, (count, 12)).astype(np.uint8)
+        expected_hw = [cb.knn(q, 2) for q in queries]
+        expected_sw = [apps.software_knn_order(hamming_dm, stored, q, 2) for q in queries]
+        seen.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(Crossbar, "_bounded_knn", bounded_spy)
+            patch.setattr(apps, "software_distances", distances_spy)
+            assert cb.knn(queries, 2) == expected_hw
+            assert apps.software_knn_order(hamming_dm, stored, queries, 2) == expected_sw
+        assert seen and max(seen) <= crossbar.QUERY_BLOCK
+        assert sum(seen) == 2 * count  # every query ranked once on each side
