@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .crossbar import Crossbar, by_query_block, checked_symbols, entry_sums, smallest_k
+from .crossbar import Crossbar, by_query_block, checked_queries, checked_stored, entry_sums, smallest_k
 from .datasets import Dataset
 from .device import DEVICE_BLOCK, VariationParams
 from .encoder import DEFAULT_LADDER, VoltageEncoding, VoltageLadder
@@ -119,10 +119,10 @@ class Quantizer:
 
 def software_distances(dm: DistanceMatrix, stored_q: np.ndarray, query_q: np.ndarray) -> np.ndarray:
     """Per-row integer distances: sum of per-dimension matrix entries."""
-    stored_q = np.atleast_2d(checked_symbols(stored_q, dm.n, "stored symbols must lie in [0, n)"))
-    query_q = checked_symbols(query_q, dm.m, "query symbols must lie in [0, m)")
-    dists = entry_sums(dm.entries, stored_q, np.atleast_2d(query_q)).astype(np.int64)
-    return dists if query_q.ndim == 2 else dists[0]
+    stored_q = checked_stored(stored_q, dm.n)
+    query_q = checked_queries(query_q, dm.m, stored_q.shape[1])
+    dists = entry_sums(dm.entries, stored_q, query_q.reshape(-1, query_q.shape[-1]))
+    return (dists if query_q.ndim == 2 else dists[0]).astype(np.int64)
 
 
 def software_nearest(dm: DistanceMatrix, stored_q: np.ndarray, query_q: np.ndarray):
@@ -132,8 +132,9 @@ def software_nearest(dm: DistanceMatrix, stored_q: np.ndarray, query_q: np.ndarr
 
 def software_knn_order(dm: DistanceMatrix, stored_q: np.ndarray, query_q: np.ndarray, kq: int):
     """The kq nearest rows by distance, in knn's query blocks; ties go to the lowest index."""
+    stored_q = checked_stored(stored_q, dm.n)
     return by_query_block(lambda block: smallest_k(software_distances(dm, stored_q, block), kq),
-                          np.atleast_1d(query_q))
+                          checked_queries(query_q, dm.m, stored_q.shape[1]))
 
 
 def majority_label(neighbor_labels: Sequence[int]) -> int:
@@ -145,7 +146,6 @@ def majority_label(neighbor_labels: Sequence[int]) -> int:
     for label in neighbor_labels:
         if votes[label] == best:
             return label
-    raise AssertionError("unreachable: neighbor list was empty")
 
 
 # -- reports ----------------------------------------------------------------------

@@ -262,13 +262,11 @@ def _ladder_from_args(args: argparse.Namespace) -> VoltageLadder:
     return VoltageLadder(**{f.name: getattr(args, f.name) for f in dataclasses.fields(VoltageLadder)})
 
 
-def _load_symbols(path: str, levels: int, error: str, width: int | None = None):
-    """A symbol CSV as checked symbols; one outside [0, levels) raises ValueError naming the file."""
-    from .crossbar import checked_symbols
-
+def _load_symbols(path: str, check, width: int | None = None):
+    """A symbol CSV's rows through check; a ValueError it raises names the file."""
     rows = csv_rows(read_input(path), path, width=width, cell="symbol")
     try:
-        return checked_symbols(rows, levels, error)
+        return check(rows)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -346,10 +344,13 @@ def cmd_oracle(args) -> int:
 
 def _array_inputs(args):
     """The encoding, stored rows, query rows and ladder that simulate and mc program."""
+    from .crossbar import checked_queries, checked_stored
+
     encoding = load_encoding(args.encoding)
-    stored = _load_symbols(args.stored, encoding.n, "stored symbols must lie in [0, n)")
-    queries = _load_symbols(args.queries, encoding.m, "query symbols must lie in [0, m)",
-                            width=stored.shape[1])
+    stored = _load_symbols(args.stored, lambda rows: checked_stored(rows, encoding.n))
+    dims = stored.shape[1]
+    queries = _load_symbols(args.queries, lambda rows: checked_queries(rows, encoding.m, dims),
+                            width=dims)
     return encoding, stored, queries, _ladder_from_args(args)
 
 
@@ -373,12 +374,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    from .crossbar import Crossbar, monte_carlo
+    from .crossbar import Crossbar, checked_symbols, monte_carlo
 
     encoding, stored, queries, ladder = _array_inputs(args)
     if args.expected:
         bound = f"expected winners must lie in [0, {len(stored)})"
-        expected = _load_symbols(args.expected, len(stored), bound, width=1)[:, 0]
+        expected = _load_symbols(
+            args.expected, lambda rows: checked_symbols(rows, len(stored), bound), width=1)[:, 0]
         if len(expected) != len(queries):
             raise ValueError(f"{args.expected}: one expected winner per query is required, "
                              f"got {len(expected)} for {len(queries)} queries")

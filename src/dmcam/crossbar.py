@@ -15,10 +15,12 @@ with more cells gets 0/1 masks, one per symbol but its first, and the
 other is gathered from the table: one base-row sum plus n - 1 GEMMs for
 n symbols on the mask side, the mask on the left of each GEMM (on knn's
 1000 x 784 array against 20 queries, (1000 x 784) @ (784 x 20) takes
-about 0.35 ms against 0.65 ms the other way round, 2 cores). For every
-caller, `checked_symbols` checks symbols and narrows them once to the
-smallest unsigned dtype, and `entry_sums` senses QUERY_BLOCK queries at a
-time, gathering a stored array on the gathered side once per call.
+about 0.35 ms against 0.65 ms the other way round, 2 cores). The array, the
+`apps` twins, `monte_carlo` and the CLI check inputs with `checked_stored`
+and `checked_queries`, which narrow symbols once to the smallest unsigned
+dtype. `entry_sums` senses QUERY_BLOCK queries at a time and gathers a
+stored array on the gathered side once per call; knn and the twins call it
+per ranking window, so HDC's class rows are gathered once per 64 queries.
 
 A varied array is that array plus its device record: each device's gate
 rank (`device.gate_ranks`, uint8 up to 255 gate levels) and, while sigma_R
@@ -93,6 +95,22 @@ def checked_symbols(values, levels: int, error: str) -> np.ndarray:
     if symbols.size and (symbols.min() < 0 or symbols.max() >= levels):
         raise ValueError(error)
     return symbols.astype(np.min_scalar_type(levels - 1), copy=False)
+
+
+def checked_stored(stored, n: int) -> np.ndarray:
+    """stored as checked symbols in [0, n), in a nonempty rows x dims matrix."""
+    symbols = checked_symbols(stored, n, "stored symbols must lie in [0, n)")
+    if symbols.ndim != 2 or symbols.shape[0] < 1 or symbols.shape[1] < 1:
+        raise ValueError("stored must be a nonempty rows x dims matrix")
+    return symbols
+
+
+def checked_queries(query, m: int, dims: int) -> np.ndarray:
+    """query as checked symbols in [0, m): one (dims,) query or a (Q, dims) batch."""
+    q = checked_symbols(query, m, "query symbols must lie in [0, m)")
+    if q.ndim not in (1, 2) or q.shape[-1] != dims:
+        raise ValueError(f"query must have {dims} symbols")
+    return q
 
 
 def _gathered(table: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -212,9 +230,7 @@ class Crossbar:
         self.encoding = encoding
         self.ladder = ladder
 
-        self._stored = checked_symbols(stored, encoding.n, "stored symbols must lie in [0, n)")
-        if self._stored.ndim != 2 or self._stored.shape[0] < 1 or self._stored.shape[1] < 1:
-            raise ValueError("stored must be a nonempty rows x dims matrix")
+        self._stored = checked_stored(stored, encoding.n)
 
         try:
             # Per-symbol lookup tables in volts.
@@ -309,7 +325,7 @@ class Crossbar:
         A nominal array sums its unit table exactly and scales once by the
         unit current; a varied array sums every device (`_exact_sums`).
         """
-        q = self._queries(query)
+        q = checked_queries(query, self.encoding.m, self.dims)
         batch = q.reshape(-1, self.dims)
         if self._rank is None:
             currents = entry_sums(self._units, self._stored, batch) * self.unit_current
@@ -329,17 +345,10 @@ class Crossbar:
         over row_currents, QUERY_BLOCK queries at a time, by one search per block
         on a nominal array and by `_bounded_knn` on a varied one.
         """
-        q = self._queries(query)
+        q = checked_queries(query, self.encoding.m, self.dims)
         if self._rank is None:
             return by_query_block(lambda block: smallest_k(self.search(block).row_currents, kq), q)
         return by_query_block(lambda block: self._bounded_knn(block, kq), q)
-
-    def _queries(self, query) -> np.ndarray:
-        """query as checked symbols, one (dims,) query or a (Q, dims) batch."""
-        q = checked_symbols(query, self.encoding.m, "query symbols must lie in [0, m)")
-        if q.ndim not in (1, 2) or q.shape[-1] != self.dims:
-            raise ValueError(f"query must have {self.dims} symbols")
-        return q
 
     @property
     def _block_rows(self) -> int:
@@ -471,14 +480,15 @@ def monte_carlo(
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    queries = checked_symbols(queries, encoding.m, "query symbols must lie in [0, m)")
-    if queries.ndim != 2 or len(queries) == 0:
+    rows, dims = checked_stored(stored, encoding.n).shape
+    if np.ndim(queries) != 2 or len(queries) == 0:
         raise ValueError("queries must be a non-empty queries x dims matrix")
+    queries = checked_queries(queries, encoding.m, dims)
     expected = tuple(int(e) for e in expected_winners)
     if len(expected) != len(queries):
         raise ValueError("one expected winner per query is required")
-    if not all(0 <= e < len(stored) for e in expected):
-        raise ValueError(f"expected winners must lie in [0, {len(stored)})")
+    if not all(0 <= e < rows for e in expected):
+        raise ValueError(f"expected winners must lie in [0, {rows})")
     children = np.random.SeedSequence(params.seed).spawn(runs)
 
     def run_chunk(chunk: range) -> list[tuple[int, ...]]:

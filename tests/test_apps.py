@@ -142,6 +142,35 @@ def test_software_twins_take_a_batch(hamming_dm):
         software_distances(hamming_dm, stored, np.array([-1, 0]))
 
 
+# (stored, query, the message Crossbar raises) on a 3 x 4 stored array, with one side malformed.
+_STORED_3X4 = [[0, 1, 2, 3], [3, 2, 1, 0], [1, 1, 2, 2]]
+_MALFORMED_INPUTS = {
+    "empty query": (_STORED_3X4, [], "query must have 4 symbols"),
+    "short query": (_STORED_3X4, [0, 1, 2], "query must have 4 symbols"),
+    "short batch": (_STORED_3X4, [[0, 1, 2], [3, 2, 1]], "query must have 4 symbols"),
+    "empty stored": ([], [0, 1, 2, 3], "stored must be a nonempty rows x dims matrix"),
+    "zero-width stored": (np.zeros((3, 0), dtype=int), [0, 1, 2, 3],
+                          "stored must be a nonempty rows x dims matrix"),
+    "1-D stored": ([0, 1, 2, 3], [0, 1, 2, 3], "stored must be a nonempty rows x dims matrix"),
+}
+_SEARCH_ENTRY_POINTS = {
+    "Crossbar.knn": lambda enc, dm, stored, query: Crossbar(enc, stored).knn(query, 1),
+    "software_distances": lambda enc, dm, stored, query: software_distances(dm, stored, query),
+    "software_nearest": lambda enc, dm, stored, query: software_nearest(dm, stored, query),
+    "software_knn_order": lambda enc, dm, stored, query: software_knn_order(dm, stored, query, 1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_SEARCH_ENTRY_POINTS))
+@pytest.mark.parametrize("case", list(_MALFORMED_INPUTS))
+def test_array_and_software_twins_refuse_malformed_inputs_alike(hamming_compiled, hamming_dm,
+                                                                 case, entry):
+    stored, query, message = _MALFORMED_INPUTS[case]
+    with pytest.raises(ValueError) as refused:
+        _SEARCH_ENTRY_POINTS[entry](hamming_compiled.encoding, hamming_dm, stored, query)
+    assert str(refused.value) == message
+
+
 def test_majority_label_rules():
     assert majority_label([1, 1, 2]) == 1
     # tie: the label whose neighbor appears first wins

@@ -475,6 +475,31 @@ def test_mc_rejects_no_queries_and_impossible_winners(hamming_compiled):
             monte_carlo(hamming_compiled.encoding, [[0], [3]], [[0]], [winner], params, runs=1)
 
 
+@pytest.mark.parametrize("stored, queries, message", [
+    ([0, 1, 2, 3], [[0, 1, 2, 3]], "stored must be a nonempty rows x dims matrix"),
+    ([[0, 1, 2, 3], [3, 2, 1, 0]], [[0, 1, 2]], "query must have 4 symbols"),
+], ids=["1-D stored", "short batch"])
+def test_mc_refuses_malformed_inputs_before_building_an_array_or_pool(
+        monkeypatch, hamming_compiled, stored, queries, message):
+    built = []
+    init = Crossbar.__init__
+
+    def pool_spy(*args, **kwargs):
+        built.append("pool")
+        return ThreadPoolExecutor(*args, **kwargs)
+
+    def init_spy(self, *args, **kwargs):
+        built.append("array")
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(crossbar, "ThreadPoolExecutor", pool_spy)
+    monkeypatch.setattr(Crossbar, "__init__", init_spy)
+    with pytest.raises(ValueError) as refused:
+        monte_carlo(hamming_compiled.encoding, stored, queries, [0], PAPER_SIGMAS, runs=2, workers=2)
+    assert str(refused.value) == message
+    assert built == []
+
+
 def test_monte_carlo_winners_golden(golden_encoding):
     stored = [[1, 1, 1, 1, 0], [1, 1, 1, 1, 1], [3, 3, 3, 0, 0], [0, 1, 2, 3, 0]]
     queries = [[0, 0, 0, 0, 0], [1, 1, 1, 1, 1], [0, 1, 2, 3, 3]]
